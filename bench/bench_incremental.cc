@@ -8,9 +8,16 @@
 // re-solve with MAP-state splicing) against a from-scratch Resolver::Run
 // on the edited KB, asserting the two agree bit-exactly on the objective.
 //
+// A second workload replays the service's interactive edit: one insert of
+// a predicate no rule reads (a team's `locatedIn`) under the constraint
+// rules, which takes the grounding fast path, and reports where each edit's
+// time goes (delta grounding, fast-path placement, solve, assembly).
+//
 // `--json out.json` writes the measurements machine-readably
-// (BENCH_incremental.json); `--smoke` shrinks the workload for CI.
+// (BENCH_incremental.json, every record with `hw_threads`); `--smoke`
+// shrinks the workload for CI.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -26,6 +33,7 @@
 #include "util/csv.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -87,6 +95,109 @@ std::vector<core::GraphEdit> MakeBatch(rdf::TemporalGraph* graph, Rng* rng,
   return edits;
 }
 
+double Median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Distinct lexical objects of `predicate` facts, in first-seen order.
+std::vector<std::string> ObjectsOf(const rdf::TemporalGraph& graph,
+                                   const std::string& predicate) {
+  std::vector<std::string> out;
+  for (rdf::FactId id = 0; id < graph.NumFacts(); ++id) {
+    const rdf::TemporalFact f = graph.fact(id);
+    if (graph.dict().Lookup(f.predicate).lexical() != predicate) continue;
+    const std::string& object = graph.dict().Lookup(f.object).lexical();
+    if (std::find(out.begin(), out.end(), object) == out.end()) {
+      out.push_back(object);
+    }
+  }
+  return out;
+}
+
+/// The service's interactive edit: single `locatedIn` inserts under the
+/// constraint rules (which never read `locatedIn`), re-solved on one
+/// thread. Every edit takes the grounding fast path; the record splits the
+/// edit into delta grounding, fast-path placement ("rebuild_ms"), solve,
+/// and assembly (partition update, kept/removed, output graph).
+bool RunRelocations(size_t players, int edits, BenchJson* json) {
+  auto rules = rules::FootballConstraints();
+  if (!rules.ok()) return false;
+  datagen::FootballDbOptions gen;
+  gen.num_players = players;
+  datagen::GeneratedKg kg = datagen::GenerateFootballDb(gen);
+  const std::vector<std::string> teams = ObjectsOf(kg.graph, "playsFor");
+  const std::vector<std::string> cities = ObjectsOf(kg.graph, "locatedIn");
+  if (teams.empty() || cities.empty()) return false;
+
+  core::ResolveOptions options;
+  options.num_threads = 1;
+  options.ground_threads = 1;
+  core::IncrementalResolver incremental(&kg.graph, *rules, options);
+  if (!incremental.Initialize().ok()) return false;
+
+  Rng rng(20261017);
+  std::vector<double> total_ms, ground_ms, place_ms, solve_ms, assemble_ms;
+  size_t fast = 0, dirty = 0;
+  double objective = 0.0;
+  for (int i = 0; i < edits; ++i) {
+    const int64_t begin = 1985 + static_cast<int64_t>(rng.Uniform(30));
+    core::GraphEdit edit;
+    edit.kind = core::GraphEdit::Kind::kInsert;
+    edit.fact = rdf::TemporalFact(
+        kg.graph.dict().InternIri(teams[rng.Uniform(teams.size())]),
+        kg.graph.dict().InternIri("locatedIn"),
+        kg.graph.dict().InternIri(cities[rng.Uniform(cities.size())]),
+        temporal::Interval(begin,
+                           begin + static_cast<int64_t>(rng.Uniform(9))),
+        0.3 + 0.0001 * static_cast<double>(rng.Uniform(6000)));
+    Timer timer;
+    auto result = incremental.ApplyEdits({edit});
+    const double ms = timer.ElapsedMillis();
+    if (!result.ok()) return false;
+    const ground::IncrementalUpdateStats& stats =
+        incremental.last_update_stats();
+    fast += stats.fast_path ? 1 : 0;
+    dirty += result->dirty_components;
+    objective = result->objective;
+    total_ms.push_back(ms);
+    ground_ms.push_back(stats.delta_ground_ms);
+    place_ms.push_back(stats.rebuild_ms);
+    solve_ms.push_back(result->solve_time_ms);
+    assemble_ms.push_back(ms - stats.delta_ground_ms - stats.rebuild_ms -
+                          result->solve_time_ms);
+  }
+  rdf::TemporalGraph scratch_graph = kg.graph.CompactLive();
+  Timer full_timer;
+  core::Resolver resolver(&scratch_graph, *rules, options);
+  auto full = resolver.Run();
+  if (!full.ok()) return false;
+  const double full_ms = full_timer.ElapsedMillis();
+  const bool match = full->objective == objective;
+
+  const double n = static_cast<double>(edits);
+  std::printf("relocation inserts (%d, one thread): p50 %.3f ms = ground "
+              "%.3f + place %.3f + solve %.3f + assemble %.3f; fast path "
+              "%zu/%d; full pipeline %.1f ms; objective %s\n\n",
+              edits, Median(total_ms), Median(ground_ms), Median(place_ms),
+              Median(solve_ms), Median(assemble_ms), fast, edits, full_ms,
+              match ? "equal" : "DIFFERS");
+  json->NewRecord(StringPrintf("incremental/players=%zu/relocate", players));
+  json->Metric("hw_threads", util::HardwareThreads());
+  json->Metric("edits", n);
+  json->Metric("fast_path_frac", static_cast<double>(fast) / n);
+  json->Metric("incremental_ms", Median(total_ms));
+  json->Metric("delta_ground_ms", Median(ground_ms));
+  json->Metric("rebuild_ms", Median(place_ms));
+  json->Metric("solve_ms", Median(solve_ms));
+  json->Metric("assemble_ms", Median(assemble_ms));
+  json->Metric("dirty_components", static_cast<double>(dirty) / n);
+  json->Metric("full_ms", full_ms);
+  json->Metric("objective_match", match ? 1.0 : 0.0);
+  return match && fast == static_cast<size_t>(edits);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -138,7 +249,9 @@ int main(int argc, char** argv) {
   const double init_ms = init_timer.ElapsedMillis();
   std::printf("initial solve: %zu facts, %zu components, %.1f ms\n\n",
               kg.graph.NumLiveFacts(), init->num_components, init_ms);
+  const double hw_threads = util::HardwareThreads();
   json.NewRecord(StringPrintf("incremental/players=%zu/initial", players));
+  json.Metric("hw_threads", hw_threads);
   json.Metric("facts", static_cast<double>(kg.graph.NumLiveFacts()));
   json.Metric("time_ms", init_ms);
 
@@ -184,6 +297,7 @@ int main(int argc, char** argv) {
                   match ? "yes" : "NO"});
     json.NewRecord(StringPrintf("incremental/players=%zu/batch=%zu", players,
                                 batch_size));
+    json.Metric("hw_threads", hw_threads);
     json.Metric("batch", static_cast<double>(batch_size));
     json.Metric("full_ms", full_ms);
     json.Metric("incremental_ms", inc_ms);
@@ -195,6 +309,8 @@ int main(int argc, char** argv) {
     json.Metric("objective_match", match ? 1.0 : 0.0);
   }
   std::printf("%s\n", table.ToAscii().c_str());
+  const bool relocations_ok = RunRelocations(players, smoke ? 16 : 64, &json);
+  all_match = all_match && relocations_ok;
   std::printf("shape (incremental bit-identical to full pipeline): %s\n",
               all_match ? "MATCH" : "MISMATCH");
   std::printf("shape (single-fact edit >= 5x faster than full): %s "

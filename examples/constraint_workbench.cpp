@@ -162,12 +162,12 @@ int main() {
         continue;
       }
       std::printf("%s", report->StatsPanel(session.rules()).c_str());
-      for (size_t i = 0; i < report->conflicts.size() && i < 5; ++i) {
+      for (size_t i = 0; i < report->conflicts().size() && i < 5; ++i) {
         std::printf("%s",
-                    session.DescribeConflict(report->conflicts[i]).c_str());
+                    session.DescribeConflict(report->conflicts()[i]).c_str());
       }
-      if (report->conflicts.size() > 5) {
-        std::printf("  ... %zu more\n", report->conflicts.size() - 5);
+      if (report->conflicts().size() > 5) {
+        std::printf("  ... %zu more\n", report->conflicts().size() - 5);
       }
     } else if (cmd == "solve") {
       std::string which;

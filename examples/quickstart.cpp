@@ -41,7 +41,7 @@ int main() {
   auto report = session.DetectConflicts();
   if (!report.ok()) return 1;
   std::printf("conflicts detected: %zu\n", report->NumConflicts());
-  for (const core::Conflict& conflict : report->conflicts) {
+  for (const core::Conflict& conflict : report->conflicts()) {
     std::printf("%s", session.DescribeConflict(conflict).c_str());
   }
 

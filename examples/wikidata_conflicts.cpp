@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
 
   // A few sample conflicts, like the demo UI's browsable result list.
   std::printf("sample conflicts:\n");
-  for (size_t i = 0; i < report->conflicts.size() && i < 3; ++i) {
-    for (rdf::FactId id : report->conflicts[i].facts) {
+  for (size_t i = 0; i < report->conflicts().size() && i < 3; ++i) {
+    for (rdf::FactId id : report->conflicts()[i].facts) {
       std::printf("  %s\n", kg.graph.FactToString(id).c_str());
     }
     std::printf("  --\n");

@@ -283,7 +283,12 @@ std::shared_ptr<const Snapshot> Engine::Publish(
       completion_rebuilt_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  snap->rules = std::make_shared<const rules::RuleSet>(rules_);
+  // Rule writes are rare: every publish between two of them shares one
+  // immutable copy of the rule set.
+  if (published_rules_ == nullptr) {
+    published_rules_ = std::make_shared<const rules::RuleSet>(rules_);
+  }
+  snap->rules = published_rules_;
   snap->result = std::move(result);
   snap->result_options = result_options;
   snap->detect_grounding_ = options_.detect_grounding;
@@ -298,7 +303,8 @@ std::shared_ptr<const Snapshot> Engine::Publish(
   // for passing non-null), a cached conflict report survives the write iff
   // those predicates are disjoint from every predicate any rule can match:
   // no grounding gains or loses a matched fact, so the conflict set is
-  // unchanged. Only the live-fact denominator needs patching.
+  // unchanged. Only the live-fact denominator needs patching; the conflict
+  // lists themselves are shared with the prior report, not copied.
   if (touched_predicates != nullptr && graph_.has_value()) {
     std::shared_ptr<const core::ConflictReport> prior;
     {
@@ -443,6 +449,7 @@ Result<Engine::RulesOutcome> Engine::AddRulesText(std::string_view text) {
   TECORE_RETURN_NOT_OK(
       LogRecord(storage::WalRecordType::kRulesSet, merged.ToString()));
   rules_ = std::move(merged);
+  published_rules_.reset();
   incremental_.reset();
   outcome.snapshot =
       Publish(nullptr, core::ResolveOptions(), /*graph_changed=*/false);
@@ -458,6 +465,7 @@ Result<std::shared_ptr<const Snapshot>> Engine::AddRules(
   TECORE_RETURN_NOT_OK(
       LogRecord(storage::WalRecordType::kRulesSet, merged.ToString()));
   rules_ = std::move(merged);
+  published_rules_.reset();
   incremental_.reset();
   auto snap = Publish(nullptr, core::ResolveOptions(), /*graph_changed=*/false);
   MaybeCheckpoint();
@@ -469,6 +477,7 @@ Result<std::shared_ptr<const Snapshot>> Engine::ClearRules() {
   TECORE_RETURN_NOT_OK(
       LogRecord(storage::WalRecordType::kRulesSet, std::string()));
   rules_ = rules::RuleSet();
+  published_rules_.reset();
   incremental_.reset();
   auto snap = Publish(nullptr, core::ResolveOptions(), /*graph_changed=*/false);
   MaybeCheckpoint();
@@ -543,14 +552,10 @@ Result<EditOutcome> Engine::ApplyEditsLocked(
     const std::vector<core::GraphEdit>& edits,
     const core::ResolveOptions& options) {
   if (!graph_.has_value()) return Status::InvalidArgument("no graph loaded");
-  if (storage() != nullptr) {
-    // Write-ahead: validate, serialize canonically, log + fsync — all
-    // before the graph mutates. A storage failure here changes nothing; a
-    // crash after the append recovers exactly this batch.
-    TECORE_RETURN_NOT_OK(core::ValidateGraphEdits(edits, *graph_));
-    TECORE_RETURN_NOT_OK(LogRecord(storage::WalRecordType::kEditBatch,
-                                   core::EditScriptToText(edits, *graph_)));
-  }
+  // Seed the incremental resolver first: seeding validates the rule set
+  // for the requested solver, and an edit it rejects must never reach the
+  // WAL (recovery would apply it under a version the client was told
+  // failed).
   if (incremental_ != nullptr &&
       !core::SameResolveConfig(incremental_->options(), options)) {
     incremental_.reset();
@@ -563,6 +568,14 @@ Result<EditOutcome> Engine::ApplyEditsLocked(
       incremental_.reset();
       return seeded.status();
     }
+  }
+  if (storage() != nullptr) {
+    // Write-ahead: validate, serialize canonically, log + fsync — all
+    // before the graph mutates. A storage failure here changes nothing; a
+    // crash after the append recovers exactly this batch.
+    TECORE_RETURN_NOT_OK(core::ValidateGraphEdits(edits, *graph_));
+    TECORE_RETURN_NOT_OK(LogRecord(storage::WalRecordType::kEditBatch,
+                                   core::EditScriptToText(edits, *graph_)));
   }
   // Lexical names of every predicate this batch touches — the conflict
   // carry-forward key. Collected before application (the term ids are
@@ -663,6 +676,7 @@ Status Engine::AttachStorage(std::shared_ptr<storage::KbStorage> storage) {
     }
     recovered = std::max(recovered, record.version);
   }
+  published_rules_.reset();
   incremental_.reset();
   AdoptGraphLocked();
   {

@@ -388,6 +388,10 @@ class Engine {
   // incremental resolver; published snapshots hold id-preserving clones.
   std::optional<rdf::TemporalGraph> graph_ TECORE_GUARDED_BY(writer_mutex_);
   rules::RuleSet rules_ TECORE_GUARDED_BY(writer_mutex_);
+  /// Immutable copy of rules_ shared by every snapshot published since the
+  /// last rule write; reset by each write of rules_.
+  std::shared_ptr<const rules::RuleSet> published_rules_
+      TECORE_GUARDED_BY(writer_mutex_);
   std::unique_ptr<core::IncrementalResolver> incremental_
       TECORE_GUARDED_BY(writer_mutex_);
   uint64_t version_ TECORE_GUARDED_BY(writer_mutex_) = 0;

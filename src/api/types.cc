@@ -317,22 +317,22 @@ Json ConflictsJson(const Snapshot& snapshot,
           Json::Int(static_cast<int64_t>(report.NumConflictingFacts())));
   out.Set("detect_time_ms", Json::Number(report.detect_time_ms));
   Json per_rule = Json::Array();
-  for (size_t i = 0; i < report.per_rule_counts.size(); ++i) {
-    if (report.per_rule_counts[i] == 0) continue;
+  for (size_t i = 0; i < report.per_rule_counts().size(); ++i) {
+    if (report.per_rule_counts()[i] == 0) continue;
     const rules::Rule& rule = snapshot.rules->rules[i];
     Json entry = Json::Object();
     entry.Set("rule", Json::Str(rule.name.empty()
                                     ? StringPrintf("#%zu", i)
                                     : rule.name));
     entry.Set("count",
-              Json::Int(static_cast<int64_t>(report.per_rule_counts[i])));
+              Json::Int(static_cast<int64_t>(report.per_rule_counts()[i])));
     per_rule.Append(std::move(entry));
   }
   out.Set("per_rule", std::move(per_rule));
   Json conflicts = Json::Array();
-  const size_t listed = std::min(limit, report.conflicts.size());
+  const size_t listed = std::min(limit, report.conflicts().size());
   for (size_t i = 0; i < listed; ++i) {
-    const core::Conflict& c = report.conflicts[i];
+    const core::Conflict& c = report.conflicts()[i];
     Json entry = Json::Object();
     const rules::Rule& rule =
         snapshot.rules->rules[static_cast<size_t>(c.rule_index)];
@@ -347,7 +347,7 @@ Json ConflictsJson(const Snapshot& snapshot,
     conflicts.Append(std::move(entry));
   }
   out.Set("conflicts", std::move(conflicts));
-  out.Set("truncated", Json::Bool(listed < report.conflicts.size()));
+  out.Set("truncated", Json::Bool(listed < report.conflicts().size()));
   return out;
 }
 

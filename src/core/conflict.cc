@@ -34,7 +34,8 @@ Result<ConflictReport> ConflictDetector::Detect() {
 
   ConflictReport report;
   report.num_input_facts = graph_->NumLiveFacts();
-  report.per_rule_counts.assign(rules_.rules.size(), 0);
+  auto lists = std::make_shared<ConflictLists>();
+  lists->per_rule_counts.assign(rules_.rules.size(), 0);
   std::unordered_set<rdf::FactId> seen;
   const ground::GroundNetwork& net = grounding.network;
   for (const ground::GroundClause& clause : net.clauses()) {
@@ -46,14 +47,15 @@ Result<ConflictReport> ConflictDetector::Detect() {
       if (atom.is_evidence && atom.source_fact != rdf::kInvalidFactId) {
         conflict.facts.push_back(atom.source_fact);
         if (seen.insert(atom.source_fact).second) {
-          report.conflicting_facts.push_back(atom.source_fact);
+          lists->conflicting_facts.push_back(atom.source_fact);
         }
       }
     }
-    ++report.per_rule_counts[static_cast<size_t>(conflict.rule_index)];
-    report.conflicts.push_back(std::move(conflict));
+    ++lists->per_rule_counts[static_cast<size_t>(conflict.rule_index)];
+    lists->conflicts.push_back(std::move(conflict));
   }
-  std::sort(report.conflicting_facts.begin(), report.conflicting_facts.end());
+  std::sort(lists->conflicting_facts.begin(), lists->conflicting_facts.end());
+  report.lists = std::move(lists);
   report.detect_time_ms = timer.ElapsedMillis();
   return report;
 }
@@ -66,24 +68,24 @@ std::string ConflictReport::StatsPanel(const rules::RuleSet& rules) const {
                           static_cast<int64_t>(num_input_facts)).c_str());
   out += StringPrintf("conflicts found     : %s\n",
                       FormatWithCommas(
-                          static_cast<int64_t>(conflicts.size())).c_str());
+                          static_cast<int64_t>(conflicts().size())).c_str());
   out += StringPrintf("conflicting facts   : %s (%.2f%%)\n",
                       FormatWithCommas(static_cast<int64_t>(
-                          conflicting_facts.size())).c_str(),
+                          conflicting_facts().size())).c_str(),
                       num_input_facts == 0
                           ? 0.0
                           : 100.0 * static_cast<double>(
-                                        conflicting_facts.size()) /
+                                        conflicting_facts().size()) /
                                 static_cast<double>(num_input_facts));
   out += StringPrintf("detection time      : %.1f ms\n", detect_time_ms);
-  for (size_t i = 0; i < per_rule_counts.size(); ++i) {
-    if (per_rule_counts[i] == 0) continue;
+  for (size_t i = 0; i < per_rule_counts().size(); ++i) {
+    if (per_rule_counts()[i] == 0) continue;
     const std::string& name = rules.rules[i].name;
     out += StringPrintf(
         "  %-28s : %s\n",
         name.empty() ? StringPrintf("constraint #%zu", i + 1).c_str()
                      : name.c_str(),
-        FormatWithCommas(static_cast<int64_t>(per_rule_counts[i])).c_str());
+        FormatWithCommas(static_cast<int64_t>(per_rule_counts()[i])).c_str());
   }
   return out;
 }

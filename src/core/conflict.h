@@ -1,6 +1,7 @@
 #ifndef TECORE_CORE_CONFLICT_H_
 #define TECORE_CORE_CONFLICT_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,19 +22,35 @@ struct Conflict {
   std::vector<rdf::FactId> facts;
 };
 
-/// \brief Outcome of conflict detection (the Fig. 8 statistics).
-struct ConflictReport {
-  size_t num_input_facts = 0;
+/// \brief The conflict lists of one detection run. Immutable once a report
+/// holds them, so a report carried forward to a later KB version (see
+/// api::Engine::Publish) shares them instead of copying.
+struct ConflictLists {
   /// All violated constraint groundings.
   std::vector<Conflict> conflicts;
   /// Distinct facts participating in at least one conflict.
   std::vector<rdf::FactId> conflicting_facts;
   /// Per-constraint violation counts, indexed like the rule set.
   std::vector<size_t> per_rule_counts;
+};
+
+/// \brief Outcome of conflict detection (the Fig. 8 statistics).
+struct ConflictReport {
+  size_t num_input_facts = 0;
+  /// Never null. Copying a report shares the lists.
+  std::shared_ptr<const ConflictLists> lists =
+      std::make_shared<const ConflictLists>();
   double detect_time_ms = 0.0;
 
-  size_t NumConflicts() const { return conflicts.size(); }
-  size_t NumConflictingFacts() const { return conflicting_facts.size(); }
+  const std::vector<Conflict>& conflicts() const { return lists->conflicts; }
+  const std::vector<rdf::FactId>& conflicting_facts() const {
+    return lists->conflicting_facts;
+  }
+  const std::vector<size_t>& per_rule_counts() const {
+    return lists->per_rule_counts;
+  }
+  size_t NumConflicts() const { return conflicts().size(); }
+  size_t NumConflictingFacts() const { return conflicting_facts().size(); }
 
   /// \brief Fig. 8-style statistics panel, e.g.
   /// "conflicting facts: 19,734 / 243,157".

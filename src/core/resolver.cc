@@ -13,15 +13,30 @@ namespace core {
 
 namespace {
 
+bool UsesComponents(const ResolveOptions& options) {
+  return options.solver == rules::SolverKind::kMln
+             ? options.mln.use_components
+             : options.psl.use_components;
+}
+
+ground::GroundingOptions EffectiveGrounding(const ResolveOptions& options) {
+  ground::GroundingOptions grounding = options.grounding;
+  // 0 means "inherit": keep a directly-set grounding option.
+  if (options.ground_threads != 0) {
+    grounding.num_threads = options.ground_threads;
+  }
+  return grounding;
+}
+
 /// MAP inference + mapping the state back to facts: the assembly shared by
-/// the from-scratch pipeline (Resolver::Run) and the incremental one
-/// (IncrementalResolver), which is what keeps their outputs bit-identical
-/// by construction. Optional solution caches enable component splicing.
-Result<ResolveResult> SolveAndAssemble(rdf::TemporalGraph* graph,
-                                       const ground::GroundNetwork& net,
-                                       const ResolveOptions& options,
-                                       mln::MlnComponentCache* mln_cache,
-                                       psl::PslComponentCache* psl_cache) {
+/// the from-scratch pipeline (Resolver::Run, which starts from an empty
+/// partition) and the incremental one (IncrementalResolver, which carries
+/// its partition across edits) — what keeps their outputs bit-identical
+/// by construction. `fact_atoms` maps each graph fact to its evidence atom.
+Result<ResolveResult> SolveAndAssemble(
+    rdf::TemporalGraph* graph, const ground::GroundNetwork& net,
+    const std::vector<ground::AtomId>& fact_atoms,
+    const ResolveOptions& options, ground::ComponentPartition* components) {
   static const auto stage_hist = obs::StageHistogram("solve");
   obs::ScopedTimer stage_timer(stage_hist);
   ResolveResult result;
@@ -37,9 +52,8 @@ Result<ResolveResult> SolveAndAssemble(rdf::TemporalGraph* graph,
     if (options.num_threads != 0) {
       mln_options.num_threads = options.num_threads;
     }
-    mln_options.component_cache = mln_cache;
     mln::MlnMapSolver solver(net, mln_options);
-    TECORE_ASSIGN_OR_RETURN(solution, solver.Solve());
+    TECORE_ASSIGN_OR_RETURN(solution, solver.Solve(components));
     values = std::move(solution.atom_values);
     result.solver_name =
         std::string("mln/") +
@@ -50,18 +64,15 @@ Result<ResolveResult> SolveAndAssemble(rdf::TemporalGraph* graph,
     result.num_components = solution.num_components;
     result.largest_component = solution.largest_component;
     result.solve_time_ms = solution.solve_time_ms;
-    if (mln_cache != nullptr) {
-      result.spliced_components = mln_cache->hits;
-      result.dirty_components = mln_cache->misses;
-    }
+    result.spliced_components = solution.reused_components;
+    result.dirty_components = solution.solved_components;
   } else {
     psl::PslSolverOptions psl_options = options.psl;
     if (options.num_threads != 0) {
       psl_options.num_threads = options.num_threads;
     }
-    psl_options.component_cache = psl_cache;
     psl::PslSolver solver(net, psl_options);
-    TECORE_ASSIGN_OR_RETURN(solution, solver.Solve());
+    TECORE_ASSIGN_OR_RETURN(solution, solver.Solve(components));
     values = std::move(solution.atom_values);
     soft_truth = std::move(solution.truth_values);
     result.solver_name = "npsl/admm";
@@ -71,26 +82,33 @@ Result<ResolveResult> SolveAndAssemble(rdf::TemporalGraph* graph,
     result.num_components = solution.num_components;
     result.largest_component = solution.largest_component;
     result.solve_time_ms = solution.solve_time_ms;
-    if (psl_cache != nullptr) {
-      result.spliced_components = psl_cache->hits;
-      result.dirty_components = psl_cache->misses;
-    }
+    result.spliced_components = solution.reused_components;
+    result.dirty_components = solution.solved_components;
   }
+  static const auto solved_total = obs::Registry::Default()->GetCounter(
+      "tecore_solve_components_total", {{"outcome", "solved"}});
+  static const auto reused_total = obs::Registry::Default()->GetCounter(
+      "tecore_solve_components_total", {{"outcome", "reused"}});
+  solved_total->Inc(result.dirty_components);
+  reused_total->Inc(result.spliced_components);
 
   // --- Map atoms back to facts (retracted facts are out of the game).
+  std::vector<bool> keep_mask(graph->NumFacts(), false);
   for (rdf::FactId id = 0; id < graph->NumFacts(); ++id) {
     if (!graph->is_live(id)) continue;
-    const rdf::TemporalFact& f = graph->fact(id);
-    ground::AtomId atom =
-        net.FindAtom(f.subject, f.predicate, f.object, f.interval);
-    const bool keep =
-        atom != ground::GroundNetwork::kInvalidAtomId && values[atom];
-    if (keep) {
+    const ground::AtomId atom = fact_atoms[id];
+    if (atom != ground::GroundNetwork::kInvalidAtomId && values[atom]) {
+      keep_mask[id] = true;
       result.kept_facts.push_back(id);
     } else {
       result.removed_facts.push_back(id);
     }
   }
+  result.consistent_graph = graph->Filter(keep_mask);
+
+  // Derived atoms form the block after the evidence prefix.
+  const ground::AtomId derived_begin = net.NumEvidenceAtoms();
+  if (derived_begin == net.NumAtoms()) return result;
 
   // Strongest supporting rule weight per derived atom (MLN score).
   std::vector<double> support;
@@ -108,13 +126,9 @@ Result<ResolveResult> SolveAndAssemble(rdf::TemporalGraph* graph,
     }
   }
 
-  std::vector<bool> keep_mask(graph->NumFacts(), false);
-  for (rdf::FactId id : result.kept_facts) keep_mask[id] = true;
-  result.consistent_graph = graph->Filter(keep_mask);
-
-  for (ground::AtomId atom = 0; atom < net.NumAtoms(); ++atom) {
+  for (ground::AtomId atom = derived_begin; atom < net.NumAtoms(); ++atom) {
+    if (!values[atom]) continue;
     const ground::GroundAtom& ga = net.atom(atom);
-    if (ga.is_evidence || !values[atom]) continue;
     const double score = soft_truth.empty()
                              ? kb::WeightToConfidence(support[atom])
                              : soft_truth[atom];
@@ -148,18 +162,16 @@ Resolver::Resolver(rdf::TemporalGraph* graph, const rules::RuleSet& rules,
 
 Result<ResolveResult> Resolver::Run() {
   Timer total_timer;
-  ground::GroundingOptions grounding = options_.grounding;
-  // 0 means "inherit": keep a directly-set grounding option.
-  if (options_.ground_threads != 0) {
-    grounding.num_threads = options_.ground_threads;
-  }
   TECORE_ASSIGN_OR_RETURN(
-      translation,
-      Translator::Translate(graph_, rules_, options_.solver, grounding));
+      translation, Translator::Translate(graph_, rules_, options_.solver,
+                                         EffectiveGrounding(options_)));
+  const ground::GroundingResult& grounding = translation.grounding;
+  ground::ComponentPartition components;
+  if (UsesComponents(options_)) components.Build(grounding.network);
   TECORE_ASSIGN_OR_RETURN(
-      result, SolveAndAssemble(graph_, translation.grounding.network,
-                               options_, nullptr, nullptr));
-  result.ground_time_ms = translation.grounding.ground_time_ms;
+      result, SolveAndAssemble(graph_, grounding.network, grounding.fact_atoms,
+                               options_, &components));
+  result.ground_time_ms = grounding.ground_time_ms;
   result.total_time_ms = total_timer.ElapsedMillis();
   return std::move(result);
 }
@@ -172,15 +184,14 @@ IncrementalResolver::IncrementalResolver(rdf::TemporalGraph* graph,
 Result<ResolveResult> IncrementalResolver::Initialize() {
   Timer total_timer;
   TECORE_RETURN_NOT_OK(rules::ValidateRuleSet(rules_, options_.solver));
-  ground::GroundingOptions grounding = options_.grounding;
-  if (options_.ground_threads != 0) {
-    grounding.num_threads = options_.ground_threads;
-  }
-  ground::IncrementalGrounder grounder(graph_, rules_, grounding);
+  ground::IncrementalGrounder grounder(graph_, rules_,
+                                      EffectiveGrounding(options_));
   TECORE_ASSIGN_OR_RETURN(stats, grounder.Initialize(&state_));
+  components_ = ground::ComponentPartition();
+  if (UsesComponents(options_)) components_.Build(state_.network);
   TECORE_ASSIGN_OR_RETURN(
-      result, SolveAndAssemble(graph_, state_.network, options_, &mln_cache_,
-                               &psl_cache_));
+      result, SolveAndAssemble(graph_, state_.network, state_.fact_atoms,
+                               options_, &components_));
   initialized_ = true;
   result.ground_time_ms = stats.ground_time_ms;
   result.total_time_ms = total_timer.ElapsedMillis();
@@ -194,17 +205,30 @@ Result<ResolveResult> IncrementalResolver::ApplyEdits(
         "IncrementalResolver::ApplyEdits before Initialize()");
   }
   Timer total_timer;
+  const bool uses_components = UsesComponents(options_);
+  // Sign the current components (once; both update paths keep the index)
+  // while the network they describe is still at hand.
+  if (uses_components) components_.IndexSignatures(state_.network);
   TECORE_RETURN_NOT_OK(ApplyGraphEdits(edits, graph_).status());
-  ground::GroundingOptions grounding = options_.grounding;
-  if (options_.ground_threads != 0) {
-    grounding.num_threads = options_.ground_threads;
-  }
-  ground::IncrementalGrounder grounder(graph_, rules_, grounding);
+  ground::IncrementalGrounder grounder(graph_, rules_,
+                                      EffectiveGrounding(options_));
   TECORE_ASSIGN_OR_RETURN(stats, grounder.Update(&state_));
   last_update_stats_ = stats;
+  static const auto fast_total = obs::Registry::Default()->GetCounter(
+      "tecore_incremental_updates_total", {{"path", "fast"}});
+  static const auto rebuild_total = obs::Registry::Default()->GetCounter(
+      "tecore_incremental_updates_total", {{"path", "rebuild"}});
+  (stats.fast_path ? fast_total : rebuild_total)->Inc();
+  if (uses_components) {
+    if (stats.fast_path) {
+      components_.ApplyInsertion(state_.network, state_.inserted);
+    } else {
+      components_.Build(state_.network);
+    }
+  }
   TECORE_ASSIGN_OR_RETURN(
-      result, SolveAndAssemble(graph_, state_.network, options_, &mln_cache_,
-                               &psl_cache_));
+      result, SolveAndAssemble(graph_, state_.network, state_.fact_atoms,
+                               options_, &components_));
   result.ground_time_ms = stats.delta_ground_ms + stats.rebuild_ms;
   result.total_time_ms = total_timer.ElapsedMillis();
   return std::move(result);

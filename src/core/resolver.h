@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/edits.h"
+#include "ground/components.h"
 #include "ground/grounder.h"
 #include "ground/incremental.h"
 #include "mln/solver.h"
@@ -79,8 +80,9 @@ struct ResolveResult {
   double ground_time_ms = 0.0;
   double solve_time_ms = 0.0;
   double total_time_ms = 0.0;
-  /// Incremental re-solve only: components whose cached MAP state was
-  /// spliced (signature unchanged) vs. components actually re-solved.
+  /// Components (with clauses) whose MAP outcome was reused — carried over
+  /// from the previous edit or spliced by signature — vs. components a
+  /// backend actually ran on. A from-scratch run solves them all.
   size_t spliced_components = 0;
   size_t dirty_components = 0;
 
@@ -114,22 +116,37 @@ class Resolver {
 };
 
 /// \brief The interactive counterpart of Resolver: keeps the ground
-/// network and per-component MAP solutions alive across KG edits so a
-/// single-fact change re-pays only the delta.
+/// network, its component partition and every component's MAP outcome
+/// alive across KG edits, so a single-fact change re-pays only the delta.
 ///
 /// Initialize() runs the full pipeline once (recording grounding
 /// provenance); each ApplyEdits() then (1) applies the edits to the graph,
 /// (2) folds them into the maintained network via delta grounding plus a
-/// DRed-style liveness sweep (ground::IncrementalGrounder), and (3)
-/// re-solves only the components whose content signature changed, splicing
-/// cached solutions for the rest.
+/// DRed-style liveness sweep (ground::IncrementalGrounder), (3) updates the
+/// carried ground::ComponentPartition and (4) re-solves only the components
+/// that hold no outcome.
+///
+/// Which path an edit takes:
+///  * An insert-only batch of new quads that derives no new atom (the
+///    grounding fast path, e.g. a fact of a predicate no rule reads) costs
+///    work in proportion to the edit: each new atom starts its own
+///    component, each fresh clause merges the components it touches, only
+///    those merged components are spliced by signature or solved, and every
+///    other component is carried over untouched.
+///  * Any other batch (a retraction, a duplicate quad, a new derived atom)
+///    rebuilds the network and re-partitions it in one flat pass; every
+///    component whose signature matches one of the previous partition
+///    takes over that outcome, and only the rest are solved.
 ///
 /// Determinism contract: every ApplyEdits() result — atom ids and clause
 /// layout of the maintained network, kept/removed fact sets, derived
 /// facts, and the objective — is bit-identical to a from-scratch
 /// Resolver::Run on the edited KB (at any thread count). The network
-/// canonicalization (GroundNetwork::Canonicalize) is what makes that an
-/// equality of bytes rather than an equivalence up to reordering.
+/// canonicalization (GroundNetwork::Canonicalize) makes that an equality
+/// of bytes rather than an equivalence up to reordering, and the solvers
+/// reduce component outcomes in canonical component order (ascending
+/// lowest atom id), so carried and freshly solved outcomes sum exactly as
+/// a from-scratch solve does.
 ///
 /// The rule set must not change between calls; solver options are fixed at
 /// construction (callers wanting different options start a new instance).
@@ -138,7 +155,8 @@ class IncrementalResolver {
   IncrementalResolver(rdf::TemporalGraph* graph, const rules::RuleSet& rules,
                       ResolveOptions options = {});
 
-  /// \brief Full pipeline run; seeds the incremental state and caches.
+  /// \brief Full pipeline run; seeds the incremental state and the carried
+  /// component outcomes.
   Result<ResolveResult> Initialize();
 
   /// \brief Apply `edits` to the graph and re-solve incrementally. Also
@@ -149,6 +167,8 @@ class IncrementalResolver {
   bool initialized() const { return initialized_; }
   /// \brief The maintained canonical ground network (diagnostics/tests).
   const ground::GroundNetwork& network() const { return state_.network; }
+  /// \brief Its carried component partition (diagnostics/tests).
+  const ground::ComponentPartition& components() const { return components_; }
   const ResolveOptions& options() const { return options_; }
   /// \brief Grounding diagnostics of the last ApplyEdits call.
   const ground::IncrementalUpdateStats& last_update_stats() const {
@@ -161,8 +181,9 @@ class IncrementalResolver {
   ResolveOptions options_;
   ground::IncrementalGroundState state_;
   ground::IncrementalUpdateStats last_update_stats_;
-  mln::MlnComponentCache mln_cache_;
-  psl::PslComponentCache psl_cache_;
+  /// Components of state_.network with their carried MAP outcomes (empty
+  /// when the configured backend solves monolithically).
+  ground::ComponentPartition components_;
   bool initialized_ = false;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "util/string_util.h"
@@ -137,33 +136,47 @@ const std::vector<AtomId>& GroundNetwork::AtomsWithPredObject(
   return it == by_pred_object_.end() ? kEmptyAtomList : it->second;
 }
 
+bool GroundNetwork::PriorClause(AtomId id, double derived_prior_weight,
+                                GroundClause* clause) const {
+  const GroundAtom& atom = atoms_[id];
+  clause->rule_index = -1;
+  clause->hard = false;
+  if (atom.is_evidence) {
+    if (atom.prior_weight > 0) {
+      clause->literals = {PositiveLiteral(id)};
+      clause->weight = atom.prior_weight;
+    } else if (atom.prior_weight < 0) {
+      clause->literals = {NegativeLiteral(id)};
+      clause->weight = -atom.prior_weight;
+    } else {
+      return false;  // confidence 0.5: indifferent
+    }
+  } else {
+    if (derived_prior_weight <= 0) return false;
+    clause->literals = {NegativeLiteral(id)};
+    clause->weight = derived_prior_weight;
+  }
+  return true;
+}
+
 void GroundNetwork::AddPriorClauses(double derived_prior_weight) {
   for (AtomId id = 0; id < atoms_.size(); ++id) {
-    const GroundAtom& atom = atoms_[id];
     GroundClause unit;
-    unit.rule_index = -1;
-    unit.hard = false;
-    if (atom.is_evidence) {
-      if (atom.prior_weight > 0) {
-        unit.literals = {PositiveLiteral(id)};
-        unit.weight = atom.prior_weight;
-      } else if (atom.prior_weight < 0) {
-        unit.literals = {NegativeLiteral(id)};
-        unit.weight = -atom.prior_weight;
-      } else {
-        continue;  // confidence 0.5: indifferent
-      }
-    } else {
-      if (derived_prior_weight <= 0) continue;
-      unit.literals = {NegativeLiteral(id)};
-      unit.weight = derived_prior_weight;
-    }
     // Direct append: unit priors are already normalized, cannot be
     // tautologies, and cannot collide with rule clauses (rule_index -1) or
     // each other (one per atom) — skipping AddClause's dedup hashing
     // shaves a measurable slice off every (re)build.
-    clauses_.push_back(std::move(unit));
+    if (PriorClause(id, derived_prior_weight, &unit)) {
+      clauses_.push_back(std::move(unit));
+    }
   }
+}
+
+AtomId GroundNetwork::NumEvidenceAtoms() const {
+  return static_cast<AtomId>(
+      std::partition_point(atoms_.begin(), atoms_.end(),
+                           [](const GroundAtom& a) { return a.is_evidence; }) -
+      atoms_.begin());
 }
 
 namespace {
@@ -276,148 +289,113 @@ void GroundNetwork::SortClausesCanonical() {
   std::sort(clauses_.begin(), clauses_.end(), CanonicalClauseLess);
 }
 
-std::vector<AtomId> GroundNetwork::CanonicalizeAppendedEvidence(
-    AtomId appended_begin) {
+AtomId GroundNetwork::MoveAppendedEvidence(AtomId appended_begin) {
   static const auto stage_hist = obs::StageHistogram("canonicalize");
   obs::ScopedTimer stage_timer(stage_hist);
   const AtomId n = static_cast<AtomId>(atoms_.size());
+  // Atoms below appended_begin are canonical: evidence prefix, then the
+  // derived block.
+  const AtomId evidence_end = static_cast<AtomId>(
+      std::partition_point(atoms_.begin(), atoms_.begin() + appended_begin,
+                           [](const GroundAtom& a) { return a.is_evidence; }) -
+      atoms_.begin());
+  if (evidence_end == appended_begin || appended_begin == n) {
+    return evidence_end;  // no derived block (or nothing appended)
+  }
   const AtomId k = n - appended_begin;
-  std::vector<AtomId> remap(n);
-  AtomId evidence_end = 0;
-  while (evidence_end < appended_begin && atoms_[evidence_end].is_evidence) {
-    ++evidence_end;
-  }
-  for (AtomId id = 0; id < evidence_end; ++id) remap[id] = id;
-  for (AtomId id = evidence_end; id < appended_begin; ++id) remap[id] = id + k;
-  for (AtomId id = appended_begin; id < n; ++id) {
-    remap[id] = evidence_end + (id - appended_begin);
-  }
-  if (k == 0) return remap;
-
-  // Rotate the atom store: [evidence][appended evidence][derived].
+  // Ids at or past evidence_end move: derived atoms up by k, the appended
+  // block down to evidence_end.
+  auto remap = [evidence_end, appended_begin, k](AtomId id) {
+    if (id < evidence_end) return id;
+    return id < appended_begin ? id + k : evidence_end + (id - appended_begin);
+  };
   std::rotate(atoms_.begin() + evidence_end, atoms_.begin() + appended_begin,
               atoms_.end());
-  for (auto& [key, id] : atom_index_) id = remap[id];
-  // Secondary index lists of pre-existing atoms stay sorted under the
-  // monotone shift; lists the appended atoms touched carry their entries
-  // at the tail (append order) and need one local re-sort.
-  auto remap_lists = [&remap, appended_begin](auto* index_map) {
-    for (auto& [key, list] : *index_map) {
-      const bool touched = !list.empty() && list.back() >= appended_begin;
-      for (AtomId& id : list) id = remap[id];
-      if (touched) std::sort(list.begin(), list.end());
-    }
-  };
-  remap_lists(&by_pred_);
-  remap_lists(&by_pred_subject_);
-  remap_lists(&by_pred_object_);
-  // Clause literals: the remap is monotone on pre-existing atoms (and
-  // appended atoms appear in no existing clause), so per-clause literal
-  // order and the canonical clause order are both preserved.
+  // Each moved atom's lookup entry, and the tails of the index lists it
+  // sits in: entries below evidence_end never move, so only the tail from
+  // there is rewritten and re-sorted (the appended ids now sort ahead of
+  // the shifted derived ones).
+  std::vector<std::vector<AtomId>*> lists;
+  lists.reserve(3 * static_cast<size_t>(n - evidence_end));
+  for (AtomId id = evidence_end; id < n; ++id) {
+    const GroundAtom& a = atoms_[id];
+    atom_index_[QuadKey{a.subject, a.predicate, a.object, a.interval.begin(),
+                        a.interval.end()}] = id;
+    lists.push_back(&by_pred_[a.predicate]);
+    lists.push_back(&by_pred_subject_[{a.predicate, a.subject}]);
+    lists.push_back(&by_pred_object_[{a.predicate, a.object}]);
+  }
+  std::sort(lists.begin(), lists.end());
+  lists.erase(std::unique(lists.begin(), lists.end()), lists.end());
+  for (std::vector<AtomId>* list : lists) {
+    auto tail = std::lower_bound(list->begin(), list->end(), evidence_end);
+    for (auto it = tail; it != list->end(); ++it) *it = remap(*it);
+    std::sort(tail, list->end());
+  }
+  // Clause literals: appended atoms appear in no existing clause, so the
+  // only rewrite is the monotone shift of the derived atoms.
   for (GroundClause& clause : clauses_) {
     for (int32_t& lit : clause.literals) {
-      const AtomId atom = remap[LiteralAtom(lit)];
-      lit = LiteralSign(lit) ? PositiveLiteral(atom) : NegativeLiteral(atom);
+      const AtomId atom = LiteralAtom(lit);
+      if (atom < evidence_end) continue;
+      lit = LiteralSign(lit) ? PositiveLiteral(atom + k)
+                             : NegativeLiteral(atom + k);
     }
   }
-  // Dedup hashes are literal-dependent and only serve AddClause; the
-  // fast-path owner appends clauses via MergeCanonicalClauses instead.
+  // Dedup hashes are literal-dependent and only serve AddClause, which the
+  // fast-path owner never calls (it inserts via InsertCanonicalClauses).
   clause_hashes_.clear();
-  return remap;
+  return evidence_end;
 }
 
-void GroundNetwork::DropPriorClauses() {
-  while (!clauses_.empty() && clauses_.back().rule_index < 0) {
-    clauses_.pop_back();
-  }
-}
-
-void GroundNetwork::MergeCanonicalClauses(std::vector<GroundClause> extra) {
+void GroundNetwork::InsertCanonicalClauses(
+    std::vector<GroundClause> rule_clauses, std::vector<GroundClause> priors,
+    std::vector<uint32_t>* inserted) {
+  inserted->clear();
+  if (rule_clauses.empty() && priors.empty()) return;
+  // Insertion points in old-list coordinates. The list is [sorted rule
+  // clauses][priors in atom order]; rule_index separates the two blocks.
   const size_t old_size = clauses_.size();
-  clauses_.reserve(old_size + extra.size());
-  for (GroundClause& clause : extra) clauses_.push_back(std::move(clause));
-  std::inplace_merge(clauses_.begin(), clauses_.begin() + old_size,
-                     clauses_.end(), CanonicalClauseLess);
-}
-
-Signature GroundNetwork::ComponentSignature(const Component& component) const {
-  Signature sig;
-  sig.Mix(component.atoms.size());
-  // component.atoms is ascending, so local ids resolve by binary search.
-  auto local = [&component](AtomId atom) {
-    return static_cast<uint64_t>(
-        std::lower_bound(component.atoms.begin(), component.atoms.end(),
-                         atom) -
-        component.atoms.begin());
-  };
-  for (uint32_t ci : component.clause_indices) {
-    const GroundClause& clause = clauses_[ci];
-    sig.Mix(static_cast<uint64_t>(static_cast<int64_t>(clause.rule_index)) +
-            (1ULL << 20));
-    sig.Mix(clause.hard ? 0x9e3779b97f4a7c15ULL : 0x85ebca6b0dd94bb3ULL);
-    uint64_t weight_bits = 0;
-    static_assert(sizeof(weight_bits) == sizeof(clause.weight));
-    std::memcpy(&weight_bits, &clause.weight, sizeof(weight_bits));
-    sig.Mix(weight_bits);
-    sig.Mix(clause.literals.size());
-    for (int32_t lit : clause.literals) {
-      sig.Mix((local(LiteralAtom(lit)) << 1) | (LiteralSign(lit) ? 1 : 0));
+  const auto rule_end = std::partition_point(
+      clauses_.begin(), clauses_.end(),
+      [](const GroundClause& c) { return c.rule_index >= 0; });
+  std::vector<std::pair<size_t, GroundClause>> items;
+  items.reserve(rule_clauses.size() + priors.size());
+  for (GroundClause& clause : rule_clauses) {
+    const size_t pos = static_cast<size_t>(
+        std::lower_bound(clauses_.begin(), rule_end, clause,
+                         CanonicalClauseLess) -
+        clauses_.begin());
+    items.emplace_back(pos, std::move(clause));
+  }
+  if (!priors.empty()) {
+    // The new atoms sit between the old evidence and the derived atoms,
+    // whose priors (if any) close the list.
+    const AtomId first_new = LiteralAtom(priors.front().literals[0]);
+    const size_t prior_begin = static_cast<size_t>(rule_end - clauses_.begin());
+    size_t pos = old_size;
+    while (pos > prior_begin &&
+           LiteralAtom(clauses_[pos - 1].literals[0]) > first_new) {
+      --pos;
+    }
+    for (GroundClause& clause : priors) {
+      items.emplace_back(pos, std::move(clause));
     }
   }
-  return sig;
-}
-
-namespace {
-/// Minimal union-find.
-class UnionFind {
- public:
-  explicit UnionFind(size_t n) : parent_(n), rank_(n, 0) {
-    for (size_t i = 0; i < n; ++i) parent_[i] = static_cast<uint32_t>(i);
+  // `items` is already ordered by position (rule clauses land inside the
+  // rule block, priors at or after its end). Merge from the back: each old
+  // clause moves once, up by the number of inserted clauses ahead of it.
+  clauses_.resize(old_size + items.size());
+  size_t src = old_size;
+  size_t dst = clauses_.size();
+  for (size_t j = items.size(); j-- > 0;) {
+    while (src > items[j].first) clauses_[--dst] = std::move(clauses_[--src]);
+    clauses_[--dst] = std::move(items[j].second);
   }
-  uint32_t Find(uint32_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
+  inserted->reserve(items.size());
+  for (size_t j = 0; j < items.size(); ++j) {
+    inserted->push_back(static_cast<uint32_t>(items[j].first + j));
   }
-  void Union(uint32_t a, uint32_t b) {
-    a = Find(a);
-    b = Find(b);
-    if (a == b) return;
-    if (rank_[a] < rank_[b]) std::swap(a, b);
-    parent_[b] = a;
-    if (rank_[a] == rank_[b]) ++rank_[a];
-  }
-
- private:
-  std::vector<uint32_t> parent_;
-  std::vector<uint8_t> rank_;
-};
-}  // namespace
-
-std::vector<Component> GroundNetwork::ConnectedComponents() const {
-  UnionFind uf(atoms_.size());
-  for (const GroundClause& clause : clauses_) {
-    for (size_t i = 1; i < clause.literals.size(); ++i) {
-      uf.Union(LiteralAtom(clause.literals[0]),
-               LiteralAtom(clause.literals[i]));
-    }
-  }
-  std::unordered_map<uint32_t, uint32_t> root_to_component;
-  std::vector<Component> components;
-  for (AtomId id = 0; id < atoms_.size(); ++id) {
-    uint32_t root = uf.Find(id);
-    auto [it, inserted] =
-        root_to_component.emplace(root, static_cast<uint32_t>(components.size()));
-    if (inserted) components.emplace_back();
-    components[it->second].atoms.push_back(id);
-  }
-  for (uint32_t ci = 0; ci < clauses_.size(); ++ci) {
-    uint32_t root = uf.Find(LiteralAtom(clauses_[ci].literals[0]));
-    components[root_to_component[root]].clause_indices.push_back(ci);
-  }
-  return components;
 }
 
 double GroundNetwork::TotalSoftWeight() const {

@@ -82,38 +82,6 @@ struct StoredGrounding {
   bool emit_clause = true;
 };
 
-/// \brief 128-bit content signature (two independent FNV-1a streams); used
-/// to key per-component MAP solution caches.
-struct Signature {
-  uint64_t lo = 1469598103934665603ULL;
-  uint64_t hi = 0xcbf29ce484222325ULL ^ 0x9e3779b97f4a7c15ULL;
-
-  void Mix(uint64_t v) {
-    lo = (lo ^ v) * 1099511628211ULL;
-    hi = (hi ^ (v + 0x9e3779b97f4a7c15ULL)) * 0x100000001b3ULL;
-    hi ^= hi >> 29;
-  }
-  bool operator==(const Signature& other) const {
-    return lo == other.lo && hi == other.hi;
-  }
-};
-
-struct SignatureHash {
-  size_t operator()(const Signature& s) const {
-    return static_cast<size_t>(s.lo ^ (s.hi * 0x9e3779b97f4a7c15ULL));
-  }
-};
-
-/// \brief A connected component of the ground network.
-///
-/// Real UTKGs decompose into many small components (conflicts are local to
-/// a subject); exact MAP is run per component, which is what makes the
-/// MLN backend tractable without a commercial ILP solver.
-struct Component {
-  std::vector<AtomId> atoms;
-  std::vector<uint32_t> clause_indices;
-};
-
 /// \brief The ground Markov network: interned atoms + deduplicated clauses
 /// with the secondary indexes the grounding joins need.
 class GroundNetwork {
@@ -175,6 +143,16 @@ class GroundNetwork {
   /// derived_prior_weight) so MAP prefers minimal models (ties otherwise).
   void AddPriorClauses(double derived_prior_weight);
 
+  /// \brief The unit prior AddPriorClauses emits for `id`; false when the
+  /// atom gets none (an evidence atom of confidence 0.5, or a derived atom
+  /// when `derived_prior_weight` <= 0).
+  bool PriorClause(AtomId id, double derived_prior_weight,
+                   GroundClause* clause) const;
+
+  /// \brief Number of evidence atoms. Every canonical layout (and every
+  /// grounder output) keeps them as a prefix, so this is a binary search.
+  AtomId NumEvidenceAtoms() const;
+
   /// \brief Canonical finalization: permute the derived-atom block into
   /// lexical (subject, predicate, object, interval) order, remap every
   /// clause literal, and sort the clause list with `SortClausesCanonical`.
@@ -194,35 +172,29 @@ class GroundNetwork {
   /// order on distinct clauses. Part of the canonical form.
   void SortClausesCanonical();
 
-  /// \brief Fast-path canonical restore after a delta pass appended only
-  /// *fresh evidence* atoms (ids [appended_begin, NumAtoms()); no merges
-  /// into existing atoms, no new derived atoms): rotates the appended
-  /// block in front of the derived block and shifts derived ids up. The
-  /// induced literal remap is monotone on pre-existing atoms, so sorted
-  /// clause lists stay canonically sorted — this is what makes a pure
-  /// insertion O(remap) instead of O(rebuild). Call DropPriorClauses()
-  /// first; returns the old-id -> new-id permutation.
-  std::vector<AtomId> CanonicalizeAppendedEvidence(AtomId appended_begin);
+  /// \brief Fast-path canonical restore, step 1: a delta pass appended
+  /// only *fresh evidence* atoms [appended_begin, NumAtoms()) — no merges
+  /// into existing atoms, no new derived atoms. Moves that block in front
+  /// of the derived block and returns where it now starts (the old
+  /// evidence count). Only atoms that actually move are rewritten: the
+  /// derived block shifts up by the block size in the atom store, the
+  /// indexes and the clause literals. With no derived atoms the layout is
+  /// already canonical and nothing is touched. The shift is monotone on
+  /// pre-existing atoms, so per-clause literal order and the canonical
+  /// clause order both survive.
+  AtomId MoveAppendedEvidence(AtomId appended_begin);
 
-  /// \brief Truncate the trailing prior-clause block (rule_index < 0), the
-  /// inverse of AddPriorClauses.
-  void DropPriorClauses();
-
-  /// \brief Merge canonically-sorted, normalized clauses into the sorted
-  /// clause list (fast-path insertion of delta clauses).
-  void MergeCanonicalClauses(std::vector<GroundClause> extra);
-
-  /// \brief Content signature of one component under *local* atom
-  /// numbering (position in `component.atoms`): clause literals, weights,
-  /// hardness and rule indices, in clause order. Two components with equal
-  /// signatures pose the same MAP subproblem, so a cached solution for one
-  /// is valid for the other — the key of the incremental re-solve's
-  /// dirty-component check.
-  Signature ComponentSignature(const Component& component) const;
-
-  /// \brief Connected components over the "shares a clause" relation.
-  /// Unit clauses attach to the component of their single atom.
-  std::vector<Component> ConnectedComponents() const;
+  /// \brief Fast-path canonical restore, step 2: insert normalized,
+  /// canonically sorted, mutually distinct `rule_clauses` (each references
+  /// a moved-in atom, so none duplicates an existing clause) into the
+  /// sorted rule block, and `priors` (unit priors of consecutive new
+  /// evidence atoms, ascending) into the prior block at their place in
+  /// atom order. `inserted` receives the new index of every inserted
+  /// clause, ascending. Work is proportional to the clauses after the
+  /// first insertion point.
+  void InsertCanonicalClauses(std::vector<GroundClause> rule_clauses,
+                              std::vector<GroundClause> priors,
+                              std::vector<uint32_t>* inserted);
 
   /// \brief Total weight of all soft clauses (upper bound of the MAP
   /// objective).

@@ -188,6 +188,8 @@ class GroundingEngine {
     add_clauses_ = false;
     TECORE_RETURN_NOT_OK(Compile());
     delta->frontier_begin = static_cast<AtomId>(net_->NumAtoms());
+    delta->fact_atoms.assign(graph_->NumFacts() - first_new_fact,
+                             GroundNetwork::kInvalidAtomId);
     for (rdf::FactId id = first_new_fact; id < graph_->NumFacts(); ++id) {
       if (!graph_->is_live(id)) continue;
       const rdf::TemporalFact& f = graph_->fact(id);
@@ -196,6 +198,7 @@ class GroundingEngine {
           /*is_evidence=*/true,
           kb::FactPriorWeight(f.confidence, options_.fact_weighting), id);
       if (atom < delta->frontier_begin) delta->merged_into_existing = true;
+      delta->fact_atoms[id - first_new_fact] = atom;
     }
     delta->seeded_end = static_cast<AtomId>(net_->NumAtoms());
     TECORE_RETURN_NOT_OK(RunFixpoint(delta->frontier_begin,
@@ -316,10 +319,12 @@ class GroundingEngine {
   }
 
   void SeedEvidence() {
+    result_->fact_atoms.assign(graph_->NumFacts(),
+                               GroundNetwork::kInvalidAtomId);
     for (rdf::FactId id = 0; id < graph_->NumFacts(); ++id) {
       if (!graph_->is_live(id)) continue;
       const rdf::TemporalFact& f = graph_->fact(id);
-      net_->GetOrAddAtom(
+      result_->fact_atoms[id] = net_->GetOrAddAtom(
           f.subject, f.predicate, f.object, f.interval, /*is_evidence=*/true,
           kb::FactPriorWeight(f.confidence, options_.fact_weighting), id);
     }

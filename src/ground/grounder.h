@@ -69,6 +69,10 @@ struct GroundingResult {
   /// Provenance of every grounding (only when
   /// GroundingOptions::collect_groundings; atom ids are post-canonical).
   std::vector<StoredGrounding> groundings;
+  /// Evidence atom of every graph fact (kInvalidAtomId for retracted
+  /// ones). Evidence atoms form the network's prefix and canonicalization
+  /// never moves them, so this maps facts to MAP values in one flat pass.
+  std::vector<AtomId> fact_atoms;
 };
 
 /// \brief Outcome of one delta-grounding pass (see Grounder::GroundDelta).
@@ -86,6 +90,9 @@ struct DeltaGroundingResult {
   /// True when an inserted fact's quad merged into a pre-existing atom
   /// (its prior/evidence status changed — disables the fast rebuild path).
   bool merged_into_existing = false;
+  /// Evidence atom of each fact first_new_fact + i (kInvalidAtomId for
+  /// facts already retracted), in the ids of the returned network.
+  std::vector<AtomId> fact_atoms;
   double ground_time_ms = 0.0;
 };
 

@@ -47,6 +47,8 @@ Result<GroundingResult> IncrementalGrounder::Initialize(
   TECORE_ASSIGN_OR_RETURN(result, grounder.Run());
   state->groundings = std::move(result.groundings);
   state->network = std::move(result.network);
+  state->fact_atoms = std::move(result.fact_atoms);
+  state->inserted = NetworkInsertion();
   state->num_facts_seen = static_cast<rdf::FactId>(graph_->NumFacts());
   state->num_live_seen = graph_->NumLiveFacts();
   state->graph_epoch = graph_->edit_epoch();
@@ -62,6 +64,7 @@ Result<IncrementalUpdateStats> IncrementalGrounder::Update(
 
   // Unchanged graph since the last update (the epoch counts every
   // Add/Retract): the state is current, skip everything.
+  state->inserted = NetworkInsertion();
   if (graph_->edit_epoch() == state->graph_epoch) {
     stats.fast_path = true;
     return stats;
@@ -80,10 +83,11 @@ Result<IncrementalUpdateStats> IncrementalGrounder::Update(
   // ---- Fast path: pure insertion. No pre-existing fact was retracted, no
   // inserted fact merged into an existing atom, and the delta derived no
   // new atoms — then nothing dies (grounding is monotone), every prior is
-  // unchanged, and the canonical layout is restored by rotating the
-  // appended evidence block in front of the derived block. O(remap)
-  // instead of a full network rebuild; bit-identical result by the
-  // monotone-remap argument in CanonicalizeAppendedEvidence.
+  // unchanged, and the canonical layout is restored by moving the appended
+  // evidence block in front of the derived block and inserting the new
+  // clauses in place: work in proportion to the edit (plus the derived
+  // block, when there is one), bit-identical to a rebuild by the
+  // monotone-shift argument in GroundNetwork::MoveAppendedEvidence.
   size_t live_new_facts = 0;
   for (rdf::FactId id = state->num_facts_seen; id < graph_->NumFacts();
        ++id) {
@@ -96,18 +100,26 @@ Result<IncrementalUpdateStats> IncrementalGrounder::Update(
   if (no_retraction && !delta.merged_into_existing && no_new_derived) {
     Timer fast_timer;
     stats.fast_path = true;
-    state->network.DropPriorClauses();
-    std::vector<AtomId> remap =
-        state->network.CanonicalizeAppendedEvidence(delta.frontier_begin);
-    for (StoredGrounding& grounding : state->groundings) {
-      for (AtomId& atom : grounding.matched) atom = remap[atom];
-      for (AtomId& atom : grounding.heads) atom = remap[atom];
+    GroundNetwork& net = state->network;
+    const AtomId appended_begin = delta.frontier_begin;
+    const AtomId k = static_cast<AtomId>(net.NumAtoms()) - appended_begin;
+    const AtomId at = net.MoveAppendedEvidence(appended_begin);
+    auto remap = [at, appended_begin, k](AtomId id) {
+      if (id < at) return id;
+      return id < appended_begin ? id + k : at + (id - appended_begin);
+    };
+    if (at != appended_begin) {
+      // Only the derived block moved; groundings referencing it follow.
+      for (StoredGrounding& grounding : state->groundings) {
+        for (AtomId& atom : grounding.matched) atom = remap(atom);
+        for (AtomId& atom : grounding.heads) atom = remap(atom);
+      }
     }
     std::vector<GroundClause> fresh_clauses;
     fresh_clauses.reserve(delta.groundings.size());
     for (StoredGrounding& grounding : delta.groundings) {
-      for (AtomId& atom : grounding.matched) atom = remap[atom];
-      for (AtomId& atom : grounding.heads) atom = remap[atom];
+      for (AtomId& atom : grounding.matched) atom = remap(atom);
+      for (AtomId& atom : grounding.heads) atom = remap(atom);
       if (grounding.emit_clause) {
         // Every delta clause references a fresh atom, so it cannot
         // duplicate a pre-existing clause — only a sibling, handled by
@@ -123,9 +135,26 @@ Result<IncrementalUpdateStats> IncrementalGrounder::Update(
     fresh_clauses.erase(std::unique(fresh_clauses.begin(), fresh_clauses.end(),
                                     ClauseContentEquals),
                         fresh_clauses.end());
-    state->network.MergeCanonicalClauses(std::move(fresh_clauses));
+    std::vector<GroundClause> priors;
     if (options_.add_evidence_priors) {
-      state->network.AddPriorClauses(options_.derived_prior_weight);
+      for (AtomId id = at; id < at + k; ++id) {
+        GroundClause unit;
+        if (net.PriorClause(id, options_.derived_prior_weight, &unit)) {
+          priors.push_back(std::move(unit));
+        }
+      }
+    }
+    net.InsertCanonicalClauses(std::move(fresh_clauses), std::move(priors),
+                               &state->inserted.clauses);
+    state->inserted.atoms_at = at;
+    state->inserted.num_atoms = k;
+    // Evidence atoms never move here, so earlier facts keep their atoms.
+    state->fact_atoms.resize(graph_->NumFacts(), GroundNetwork::kInvalidAtomId);
+    for (size_t i = 0; i < delta.fact_atoms.size(); ++i) {
+      const AtomId atom = delta.fact_atoms[i];
+      if (atom != GroundNetwork::kInvalidAtomId) {
+        state->fact_atoms[state->num_facts_seen + i] = remap(atom);
+      }
     }
     state->num_facts_seen = static_cast<rdf::FactId>(graph_->NumFacts());
     state->num_live_seen = graph_->NumLiveFacts();
@@ -144,14 +173,15 @@ Result<IncrementalUpdateStats> IncrementalGrounder::Update(
 
   // ---- 2. Liveness mark-sweep. Evidence aliveness comes from the graph;
   // derivation aliveness propagates through stored groundings to fixpoint.
+  // Every live fact was seeded, at an earlier update or by this delta
+  // pass; a fact live now was live then.
   std::vector<bool> alive(old_atoms, false);
   for (rdf::FactId id = 0; id < graph_->NumFacts(); ++id) {
     if (!graph_->is_live(id)) continue;
-    const rdf::TemporalFact& f = graph_->fact(id);
-    const AtomId atom =
-        old_net.FindAtom(f.subject, f.predicate, f.object, f.interval);
-    // Every live fact was seeded (at Initialize or by a delta pass).
-    if (atom != GroundNetwork::kInvalidAtomId) alive[atom] = true;
+    const AtomId atom = id < state->num_facts_seen
+                            ? state->fact_atoms[id]
+                            : delta.fact_atoms[id - state->num_facts_seen];
+    alive[atom] = true;
   }
   bool changed = true;
   while (changed) {
@@ -179,14 +209,14 @@ Result<IncrementalUpdateStats> IncrementalGrounder::Update(
   // order (exactly the seeding a from-scratch run performs), then the
   // surviving derived atoms in lexical order, then the surviving clauses.
   GroundNetwork fresh;
+  std::vector<AtomId> fact_atoms(graph_->NumFacts(),
+                                 GroundNetwork::kInvalidAtomId);
   for (rdf::FactId id = 0; id < graph_->NumFacts(); ++id) {
     if (!graph_->is_live(id)) continue;
     const rdf::TemporalFact& f = graph_->fact(id);
-    fresh.GetOrAddAtom(f.subject, f.predicate, f.object, f.interval,
-                       /*is_evidence=*/true,
-                       kb::FactPriorWeight(f.confidence,
-                                           options_.fact_weighting),
-                       id);
+    fact_atoms[id] = fresh.GetOrAddAtom(
+        f.subject, f.predicate, f.object, f.interval, /*is_evidence=*/true,
+        kb::FactPriorWeight(f.confidence, options_.fact_weighting), id);
   }
   std::vector<AtomId> derived;
   std::vector<AtomId> remap(old_atoms, GroundNetwork::kInvalidAtomId);
@@ -238,6 +268,7 @@ Result<IncrementalUpdateStats> IncrementalGrounder::Update(
 
   state->network = std::move(fresh);
   state->groundings = std::move(surviving);
+  state->fact_atoms = std::move(fact_atoms);
   state->num_facts_seen = static_cast<rdf::FactId>(graph_->NumFacts());
   state->num_live_seen = graph_->NumLiveFacts();
   state->graph_epoch = graph_->edit_epoch();

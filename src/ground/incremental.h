@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ground/components.h"
 #include "ground/grounder.h"
 #include "rdf/graph.h"
 #include "rules/ast.h"
@@ -23,6 +24,14 @@ namespace ground {
 struct IncrementalGroundState {
   GroundNetwork network;
   std::vector<StoredGrounding> groundings;
+  /// Evidence atom of every graph fact (kInvalidAtomId for retracted
+  /// ones), kept beside the network. Evidence atoms never move on the
+  /// fast path, so there it only grows.
+  std::vector<AtomId> fact_atoms;
+  /// What the last update changed, when it took the fast path (empty when
+  /// the graph was unchanged): the input ComponentPartition::ApplyInsertion
+  /// folds in.
+  NetworkInsertion inserted;
   /// Graph facts [0, num_facts_seen) are reflected in the state.
   rdf::FactId num_facts_seen = 0;
   /// Live-fact count at the last update; lets Update detect that no
@@ -40,9 +49,9 @@ struct IncrementalUpdateStats {
   size_t dead_groundings = 0;
   size_t dead_atoms = 0;
   /// True when the pure-insertion fast path applied (no retraction, no
-  /// merge into existing atoms, no new derived atoms): the canonical
-  /// layout was restored by an O(remap) block rotation instead of a full
-  /// rebuild.
+  /// merge into existing atoms, no new derived atoms): the new atoms and
+  /// clauses were placed into the canonical layout in O(delta) instead of
+  /// a full rebuild (see IncrementalGroundState::inserted).
   bool fast_path = false;
   double delta_ground_ms = 0.0;
   double rebuild_ms = 0.0;
@@ -69,6 +78,17 @@ struct IncrementalUpdateStats {
 ///     surviving groundings. By construction it is bit-identical to what
 ///     Grounder::Run would produce on the edited KB — the determinism
 ///     contract the incremental re-solve tests enforce.
+///
+/// Which path an edit takes:
+///  * *Fast path* — an insert-only batch whose facts are all new quads and
+///    derive no new atoms (e.g. a fact of a predicate no inference rule
+///    reads). Steps 2–3 are skipped: the new evidence atoms move in front
+///    of the derived block (only derived ids shift; with no derived atoms
+///    nothing moves), their priors and the fresh rule clauses are inserted
+///    at their canonical places, and `inserted` records the change so the
+///    caller can update its component partition in O(delta).
+///  * *Rebuild* — any retraction, an insert merging into an existing atom
+///    (a duplicate quad), or an insert deriving a new atom.
 class IncrementalGrounder {
  public:
   IncrementalGrounder(rdf::TemporalGraph* graph, const rules::RuleSet& rules,

@@ -60,6 +60,13 @@ MlnMapSolver::MlnMapSolver(const ground::GroundNetwork& network,
     : network_(network), options_(options) {}
 
 Result<MlnSolution> MlnMapSolver::Solve() {
+  ground::ComponentPartition components;
+  if (options_.use_components) components.Build(network_);
+  return Solve(&components);
+}
+
+Result<MlnSolution> MlnMapSolver::Solve(
+    ground::ComponentPartition* components) {
   Timer timer;
   MlnSolution solution;
   solution.atom_values.assign(network_.NumAtoms(), false);
@@ -81,86 +88,51 @@ Result<MlnSolution> MlnMapSolver::Solve() {
     return solution;
   }
 
-  std::vector<ground::Component> components = network_.ConnectedComponents();
-  solution.num_components = components.size();
-
-  // Components are independent subproblems; solve them concurrently and
-  // merge in component order so objectives/flip sets are identical to the
-  // sequential run (every backend is deterministic given its options).
-  struct ComponentSolution {
-    maxsat::MaxSatResult result;
-    std::vector<ground::AtomId> atom_map;
-    bool solved = false;
-  };
-  std::vector<ComponentSolution> solved(components.size());
-  // With a component cache attached, splice the stored solution of every
-  // component whose content signature is unchanged (a cached result is
-  // bit-identical to re-solving — the backends are deterministic) and
-  // spend solver time only on the dirty ones.
-  MlnComponentCache* cache = options_.component_cache;
-  std::vector<ground::Signature> signatures(cache != nullptr
-                                                ? components.size()
-                                                : 0);
-  if (cache != nullptr) {
-    cache->hits = 0;
-    cache->misses = 0;
-    for (size_t i = 0; i < components.size(); ++i) {
-      if (components[i].clause_indices.empty()) continue;
-      signatures[i] = network_.ComponentSignature(components[i]);
-      auto it = cache->entries.find(signatures[i]);
-      if (it != cache->entries.end()) {
-        solved[i].result = it->second;
-        solved[i].atom_map = components[i].atoms;
-        solved[i].solved = true;
-        ++cache->hits;
-      } else {
-        ++cache->misses;
-      }
-    }
-  }
-  // Never spawn more executors than there are components to solve.
+  // Solve what has no outcome yet; never spawn more executors than there
+  // are components to solve.
+  const std::vector<uint32_t> todo = components->Unsolved();
   util::ThreadPool pool(static_cast<int>(
       std::min<size_t>(util::ResolveThreadCount(options_.num_threads),
-                       std::max<size_t>(components.size(), 1))));
-  pool.ParallelFor(components.size(), [&](size_t i) {
-    const ground::Component& component = components[i];
-    if (component.clause_indices.empty()) {
-      // Isolated atoms with no clauses at all: default to false (derived)
-      // — evidence atoms always have at least their prior clause.
-      return;
-    }
-    ComponentSolution& out = solved[i];
-    if (out.solved) return;  // spliced from the cache
-    maxsat::Wcnf wcnf = BuildComponentWcnf(network_, component, &out.atom_map);
-    out.result = SolveWcnf(wcnf, options_);
-    out.solved = true;
-  });
-  if (cache != nullptr) {
-    // Bound retained entries: once stale signatures dominate, rebuild the
-    // cache from the components actually present.
-    if (cache->entries.size() > 4 * components.size() + 1024) {
-      cache->entries.clear();
-    }
-    for (size_t i = 0; i < components.size(); ++i) {
-      if (!solved[i].solved) continue;
-      cache->entries.emplace(signatures[i], solved[i].result);
-    }
-  }
-
-  for (size_t i = 0; i < components.size(); ++i) {
-    solution.largest_component =
-        std::max(solution.largest_component, components[i].atoms.size());
-    if (!solved[i].solved) continue;
-    const maxsat::MaxSatResult& result = solved[i].result;
-    const std::vector<ground::AtomId>& atom_map = solved[i].atom_map;
-    solution.feasible = solution.feasible && result.feasible;
-    solution.optimal = solution.optimal && result.optimal;
-    solution.objective += result.satisfied_weight;
-    solution.violated_weight += result.violated_weight;
-    solution.search_steps += result.search_steps;
-    for (size_t local = 0; local < atom_map.size(); ++local) {
-      solution.atom_values[atom_map[local]] =
+                       std::max<size_t>(todo.size(), 1))));
+  pool.ParallelFor(todo.size(), [&](size_t i) {
+    const uint32_t c = todo[i];
+    const ground::IdSpan<ground::AtomId> atoms = components->atoms(c);
+    maxsat::Wcnf wcnf =
+        BuildComponentWcnf(network_, atoms, components->clauses(c));
+    const maxsat::MaxSatResult result = SolveWcnf(wcnf, options_);
+    ground::ComponentOutcome outcome;
+    outcome.objective = result.satisfied_weight;
+    outcome.violated = result.violated_weight;
+    outcome.steps = result.search_steps;
+    outcome.feasible = result.feasible;
+    outcome.exact = result.optimal;
+    components->set_outcome(c, outcome);
+    for (size_t local = 0; local < atoms.size(); ++local) {
+      const bool value =
           local < result.assignment.size() && result.assignment[local];
+      components->set_atom_state(atoms[local], value ? 1.0 : 0.0);
+    }
+  });
+  solution.solved_components = todo.size();
+  solution.reused_components = components->NumWithClauses() - todo.size();
+
+  // Reduce in canonical component order. Atoms of clause-free components
+  // stay false (derived atoms with no support; evidence atoms always carry
+  // at least their prior).
+  solution.num_components = components->size();
+  for (uint32_t c = 0; c < components->size(); ++c) {
+    const ground::IdSpan<ground::AtomId> atoms = components->atoms(c);
+    solution.largest_component =
+        std::max(solution.largest_component, atoms.size());
+    if (!components->has_clauses(c)) continue;
+    const ground::ComponentOutcome& outcome = components->outcome(c);
+    solution.feasible = solution.feasible && outcome.feasible;
+    solution.optimal = solution.optimal && outcome.exact;
+    solution.objective += outcome.objective;
+    solution.violated_weight += outcome.violated;
+    solution.search_steps += outcome.steps;
+    for (ground::AtomId atom : atoms) {
+      solution.atom_values[atom] = components->atom_state(atom) != 0.0;
     }
   }
   solution.solve_time_ms = timer.ElapsedMillis();

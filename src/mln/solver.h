@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "ground/components.h"
 #include "ground/ground_network.h"
 #include "ilp/branch_bound.h"
 #include "maxsat/exact.h"
@@ -31,23 +31,6 @@ enum class MlnBackend : uint8_t {
 
 std::string_view MlnBackendName(MlnBackend backend);
 
-/// \brief Cache of per-component MAP solutions keyed by the component's
-/// content signature (local clause structure + weights).
-///
-/// Backends are deterministic, so a cached result is bit-identical to
-/// re-solving — which is how the incremental re-solve pipeline splices
-/// solutions of clean components while paying solver time only for the
-/// ones an edit dirtied. Entries are valid as long as the solver options
-/// are unchanged; the owner must clear the cache when they change.
-struct MlnComponentCache {
-  std::unordered_map<ground::Signature, maxsat::MaxSatResult,
-                     ground::SignatureHash>
-      entries;
-  /// Per-Solve() statistics (reset at each call).
-  size_t hits = 0;
-  size_t misses = 0;
-};
-
 /// \brief Solver configuration.
 struct MlnSolverOptions {
   MlnBackend backend = MlnBackend::kExactMaxSat;
@@ -65,9 +48,6 @@ struct MlnSolverOptions {
   maxsat::ExactSolverOptions exact;
   maxsat::WalkSatOptions walksat;
   ilp::BranchBoundSolver::Options ilp;
-  /// Optional per-component solution cache (see MlnComponentCache); only
-  /// consulted on the per-component path. Not owned.
-  MlnComponentCache* component_cache = nullptr;
 };
 
 /// \brief MAP solution over the ground network's atoms.
@@ -83,18 +63,39 @@ struct MlnSolution {
   bool optimal = false;
   size_t num_components = 0;
   size_t largest_component = 0;
+  /// Components with clauses a backend ran on in this call, and those
+  /// whose outcome was reused (carried over or spliced by signature).
+  size_t solved_components = 0;
+  size_t reused_components = 0;
   uint64_t search_steps = 0;
   double solve_time_ms = 0.0;
 };
 
 /// \brief MAP inference for MLNs: maximizes the weight of satisfied ground
 /// formulas subject to hard constraints, component by component.
+///
+/// The per-component path works on a ground::ComponentPartition: it solves
+/// the components that hold no outcome yet (concurrently — they are
+/// independent, and every backend is deterministic given its options),
+/// records each outcome and atom value in the partition, then reduces
+/// every component's outcome in canonical component order. A partition
+/// carried across edits (core::IncrementalResolver) therefore pays solver
+/// time only for the components an edit touched, and the objective,
+/// feasibility and optimality are bit-identical to a from-scratch solve at
+/// any thread count.
 class MlnMapSolver {
  public:
   MlnMapSolver(const ground::GroundNetwork& network,
                MlnSolverOptions options = {});
 
+  /// \brief From scratch: partition the network and solve every component.
   Result<MlnSolution> Solve();
+
+  /// \brief Solve the unsolved components of `components`, which must
+  /// partition the solver's network, and assemble the solution from every
+  /// component's recorded outcome. Ignored (monolithic solve) when
+  /// `use_components` is off.
+  Result<MlnSolution> Solve(ground::ComponentPartition* components);
 
  private:
   const ground::GroundNetwork& network_;

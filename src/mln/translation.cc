@@ -1,37 +1,25 @@
 #include "mln/translation.h"
 
-#include <unordered_map>
-
 namespace tecore {
 namespace mln {
 
 namespace {
 
-void AppendClauses(const ground::GroundNetwork& network,
-                   const std::vector<uint32_t>* clause_subset,
-                   const std::unordered_map<ground::AtomId, int>* renumber,
-                   maxsat::Wcnf* wcnf) {
-  auto translate = [&](const ground::GroundClause& clause) {
-    std::vector<maxsat::Literal> lits;
-    lits.reserve(clause.literals.size());
-    for (int32_t lit : clause.literals) {
-      ground::AtomId atom = ground::LiteralAtom(lit);
-      int var = renumber == nullptr
-                    ? static_cast<int>(atom)
-                    : renumber->at(atom);
-      lits.push_back(ground::LiteralSign(lit) ? maxsat::PosLit(var)
-                                              : maxsat::NegLit(var));
-    }
-    if (clause.hard) {
-      wcnf->AddHard(std::move(lits));
-    } else if (clause.weight > 0) {
-      wcnf->AddSoft(std::move(lits), clause.weight);
-    }
-  };
-  if (clause_subset != nullptr) {
-    for (uint32_t ci : *clause_subset) translate(network.clauses()[ci]);
-  } else {
-    for (const auto& clause : network.clauses()) translate(clause);
+/// Append `clause` to `wcnf`, mapping each atom to a variable via `var_of`.
+template <typename VarOf>
+void AppendClause(const ground::GroundClause& clause, VarOf var_of,
+                  maxsat::Wcnf* wcnf) {
+  std::vector<maxsat::Literal> lits;
+  lits.reserve(clause.literals.size());
+  for (int32_t lit : clause.literals) {
+    const int var = var_of(ground::LiteralAtom(lit));
+    lits.push_back(ground::LiteralSign(lit) ? maxsat::PosLit(var)
+                                            : maxsat::NegLit(var));
+  }
+  if (clause.hard) {
+    wcnf->AddHard(std::move(lits));
+  } else if (clause.weight > 0) {
+    wcnf->AddSoft(std::move(lits), clause.weight);
   }
 }
 
@@ -39,23 +27,26 @@ void AppendClauses(const ground::GroundNetwork& network,
 
 maxsat::Wcnf BuildWcnf(const ground::GroundNetwork& network) {
   maxsat::Wcnf wcnf(static_cast<int>(network.NumAtoms()));
-  AppendClauses(network, nullptr, nullptr, &wcnf);
+  for (const ground::GroundClause& clause : network.clauses()) {
+    AppendClause(
+        clause, [](ground::AtomId atom) { return static_cast<int>(atom); },
+        &wcnf);
+  }
   return wcnf;
 }
 
 maxsat::Wcnf BuildComponentWcnf(const ground::GroundNetwork& network,
-                                const ground::Component& component,
-                                std::vector<ground::AtomId>* atom_map) {
-  std::unordered_map<ground::AtomId, int> renumber;
-  renumber.reserve(component.atoms.size());
-  atom_map->clear();
-  atom_map->reserve(component.atoms.size());
-  for (ground::AtomId atom : component.atoms) {
-    renumber.emplace(atom, static_cast<int>(atom_map->size()));
-    atom_map->push_back(atom);
+                                ground::IdSpan<ground::AtomId> atoms,
+                                ground::IdSpan<uint32_t> clauses) {
+  maxsat::Wcnf wcnf(static_cast<int>(atoms.size()));
+  for (uint32_t ci : clauses) {
+    AppendClause(
+        network.clauses()[ci],
+        [atoms](ground::AtomId atom) {
+          return static_cast<int>(ground::LocalAtomIndex(atoms, atom));
+        },
+        &wcnf);
   }
-  maxsat::Wcnf wcnf(static_cast<int>(component.atoms.size()));
-  AppendClauses(network, &component.clause_indices, &renumber, &wcnf);
   return wcnf;
 }
 

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "ground/components.h"
 #include "ground/ground_network.h"
 #include "ilp/branch_bound.h"
 #include "maxsat/wcnf.h"
@@ -14,11 +15,12 @@ namespace mln {
 /// MaxSAT instance (variable i == ground atom i).
 maxsat::Wcnf BuildWcnf(const ground::GroundNetwork& network);
 
-/// \brief Translate a single connected component; atoms are renumbered
-/// densely, with the local->global map returned through `atom_map`.
+/// \brief Translate a single connected component (ascending atoms and
+/// clause indices, as ground::ComponentPartition lists them); variable i
+/// is `atoms[i]`.
 maxsat::Wcnf BuildComponentWcnf(const ground::GroundNetwork& network,
-                                const ground::Component& component,
-                                std::vector<ground::AtomId>* atom_map);
+                                ground::IdSpan<ground::AtomId> atoms,
+                                ground::IdSpan<uint32_t> clauses);
 
 /// \brief RockIt-style MAP-as-ILP encoding of a WCNF.
 ///

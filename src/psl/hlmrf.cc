@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 namespace tecore {
 namespace psl {
@@ -40,10 +39,10 @@ double HlMrf::ConstraintViolation(const std::vector<double>& x) const {
 
 namespace {
 
-/// Relax one ground clause into `mrf`, renumbering atoms through
-/// `renumber` when given (component translation) or 1:1 otherwise.
-void RelaxClause(const ground::GroundClause& clause,
-                 const std::unordered_map<ground::AtomId, int>* renumber,
+/// Relax one ground clause into `mrf`, mapping each atom to a variable
+/// via `var_of`.
+template <typename VarOf>
+void RelaxClause(const ground::GroundClause& clause, VarOf var_of,
                  bool squared, HlMrf* mrf) {
   // Distance to satisfaction of the disjunction.
   std::vector<std::pair<int, double>> coefs;
@@ -51,8 +50,7 @@ void RelaxClause(const ground::GroundClause& clause,
   coefs.reserve(clause.literals.size());
   for (int32_t lit : clause.literals) {
     const ground::AtomId atom = ground::LiteralAtom(lit);
-    const int var = renumber == nullptr ? static_cast<int>(atom)
-                                        : renumber->at(atom);
+    const int var = var_of(atom);
     if (ground::LiteralSign(lit)) {
       coefs.emplace_back(var, -1.0);
     } else {
@@ -81,26 +79,24 @@ void RelaxClause(const ground::GroundClause& clause,
 HlMrf BuildHlMrf(const ground::GroundNetwork& network, bool squared) {
   HlMrf mrf(static_cast<int>(network.NumAtoms()));
   for (const ground::GroundClause& clause : network.clauses()) {
-    RelaxClause(clause, nullptr, squared, &mrf);
+    RelaxClause(
+        clause, [](ground::AtomId atom) { return static_cast<int>(atom); },
+        squared, &mrf);
   }
   return mrf;
 }
 
 HlMrf BuildComponentHlMrf(const ground::GroundNetwork& network,
-                          const ground::Component& component,
-                          std::vector<ground::AtomId>* atom_map,
-                          bool squared) {
-  std::unordered_map<ground::AtomId, int> renumber;
-  renumber.reserve(component.atoms.size());
-  atom_map->clear();
-  atom_map->reserve(component.atoms.size());
-  for (ground::AtomId atom : component.atoms) {
-    renumber.emplace(atom, static_cast<int>(atom_map->size()));
-    atom_map->push_back(atom);
-  }
-  HlMrf mrf(static_cast<int>(component.atoms.size()));
-  for (uint32_t ci : component.clause_indices) {
-    RelaxClause(network.clauses()[ci], &renumber, squared, &mrf);
+                          ground::IdSpan<ground::AtomId> atoms,
+                          ground::IdSpan<uint32_t> clauses, bool squared) {
+  HlMrf mrf(static_cast<int>(atoms.size()));
+  for (uint32_t ci : clauses) {
+    RelaxClause(
+        network.clauses()[ci],
+        [atoms](ground::AtomId atom) {
+          return static_cast<int>(ground::LocalAtomIndex(atoms, atom));
+        },
+        squared, &mrf);
   }
   return mrf;
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ground/components.h"
 #include "ground/ground_network.h"
 
 namespace tecore {
@@ -71,12 +72,12 @@ class HlMrf {
 /// linear for MAP).
 HlMrf BuildHlMrf(const ground::GroundNetwork& network, bool squared = false);
 
-/// \brief nPSL translation of a single connected component; atoms are
-/// renumbered densely, with the local->global map returned through
-/// `atom_map` (mirrors mln::BuildComponentWcnf).
+/// \brief nPSL translation of a single connected component (ascending
+/// atoms and clause indices, as ground::ComponentPartition lists them);
+/// variable i is `atoms[i]` (mirrors mln::BuildComponentWcnf).
 HlMrf BuildComponentHlMrf(const ground::GroundNetwork& network,
-                          const ground::Component& component,
-                          std::vector<ground::AtomId>* atom_map,
+                          ground::IdSpan<ground::AtomId> atoms,
+                          ground::IdSpan<uint32_t> clauses,
                           bool squared = false);
 
 }  // namespace psl

@@ -28,6 +28,12 @@ PslSolver::PslSolver(const ground::GroundNetwork& network,
     : network_(network), options_(options) {}
 
 Result<PslSolution> PslSolver::Solve() {
+  ground::ComponentPartition components;
+  if (options_.use_components) components.Build(network_);
+  return Solve(&components);
+}
+
+Result<PslSolution> PslSolver::Solve(ground::ComponentPartition* components) {
   Timer timer;
   PslSolution solution;
 
@@ -43,82 +49,52 @@ Result<PslSolution> PslSolver::Solve() {
     solution.largest_component = network_.NumAtoms();
   } else {
     // The consensus objective is separable across connected components:
-    // run ADMM per component (concurrently — they are independent) and
-    // scatter each local solution into the global truth vector. Atoms in
-    // clause-free components keep ADMM's 0.5 initial value, matching the
-    // monolithic path, and the energy is reduced in component order so
-    // the result is deterministic for any thread count.
-    std::vector<ground::Component> components =
-        network_.ConnectedComponents();
-    solution.truth_values.assign(network_.NumAtoms(), 0.5);
-    solution.num_components = components.size();
-    solution.admm_converged = true;
-    struct ComponentRun {
-      std::vector<ground::AtomId> atom_map;
-      AdmmResult result;
-      bool solved = false;
-    };
-    std::vector<ComponentRun> runs(components.size());
-    // Splice cached ADMM results for components whose content signature is
-    // unchanged (see PslComponentCache); solve only the dirty ones.
-    PslComponentCache* cache = options_.component_cache;
-    std::vector<ground::Signature> signatures(cache != nullptr
-                                                  ? components.size()
-                                                  : 0);
-    if (cache != nullptr) {
-      cache->hits = 0;
-      cache->misses = 0;
-      for (size_t i = 0; i < components.size(); ++i) {
-        if (components[i].clause_indices.empty()) continue;
-        signatures[i] = network_.ComponentSignature(components[i]);
-        auto it = cache->entries.find(signatures[i]);
-        if (it != cache->entries.end()) {
-          runs[i].result = it->second;
-          runs[i].atom_map = components[i].atoms;
-          runs[i].solved = true;
-          ++cache->hits;
-        } else {
-          ++cache->misses;
-        }
-      }
-    }
+    // run ADMM on each unsolved component (concurrently — they are
+    // independent) and record its local solution as the partition's atom
+    // state. Atoms in clause-free components keep ADMM's 0.5 initial
+    // value, matching the monolithic path, and the energy is reduced in
+    // component order so the result is deterministic for any thread count.
+    const std::vector<uint32_t> todo = components->Unsolved();
     // Never spawn more executors than there are components to solve.
     util::ThreadPool pool(static_cast<int>(
         std::min<size_t>(util::ResolveThreadCount(options_.num_threads),
-                         std::max<size_t>(components.size(), 1))));
-    pool.ParallelFor(components.size(), [&](size_t i) {
-      if (components[i].clause_indices.empty()) return;
-      ComponentRun& run = runs[i];
-      if (run.solved) return;  // spliced from the cache
-      HlMrf mrf = BuildComponentHlMrf(network_, components[i], &run.atom_map,
+                         std::max<size_t>(todo.size(), 1))));
+    pool.ParallelFor(todo.size(), [&](size_t i) {
+      const uint32_t c = todo[i];
+      const ground::IdSpan<ground::AtomId> atoms = components->atoms(c);
+      HlMrf mrf = BuildComponentHlMrf(network_, atoms, components->clauses(c),
                                       options_.squared_hinges);
       AdmmSolver admm(mrf, options_.admm);
-      run.result = admm.Solve();
-      run.solved = true;
+      const AdmmResult result = admm.Solve();
+      ground::ComponentOutcome outcome;
+      outcome.objective = result.energy;
+      outcome.steps = static_cast<uint64_t>(result.iterations);
+      outcome.exact = result.converged;
+      components->set_outcome(c, outcome);
+      for (size_t local = 0; local < atoms.size(); ++local) {
+        components->set_atom_state(
+            atoms[local], local < result.x.size() ? result.x[local] : 0.5);
+      }
     });
-    if (cache != nullptr) {
-      if (cache->entries.size() > 4 * components.size() + 1024) {
-        cache->entries.clear();
-      }
-      for (size_t i = 0; i < components.size(); ++i) {
-        if (!runs[i].solved) continue;
-        cache->entries.emplace(signatures[i], runs[i].result);
-      }
-    }
-    for (size_t i = 0; i < components.size(); ++i) {
+    solution.solved_components = todo.size();
+    solution.reused_components = components->NumWithClauses() - todo.size();
+
+    solution.truth_values.assign(network_.NumAtoms(), 0.5);
+    solution.num_components = components->size();
+    solution.admm_converged = true;
+    for (uint32_t c = 0; c < components->size(); ++c) {
+      const ground::IdSpan<ground::AtomId> atoms = components->atoms(c);
       solution.largest_component =
-          std::max(solution.largest_component, components[i].atoms.size());
-      if (!runs[i].solved) continue;
-      const ComponentRun& run = runs[i];
-      for (size_t local = 0; local < run.atom_map.size(); ++local) {
-        solution.truth_values[run.atom_map[local]] =
-            local < run.result.x.size() ? run.result.x[local] : 0.5;
+          std::max(solution.largest_component, atoms.size());
+      if (!components->has_clauses(c)) continue;
+      for (ground::AtomId atom : atoms) {
+        solution.truth_values[atom] = components->atom_state(atom);
       }
-      solution.energy += run.result.energy;
-      solution.admm_converged =
-          solution.admm_converged && run.result.converged;
-      solution.admm_iterations =
-          std::max(solution.admm_iterations, run.result.iterations);
+      const ground::ComponentOutcome& outcome = components->outcome(c);
+      solution.energy += outcome.objective;
+      solution.admm_converged = solution.admm_converged && outcome.exact;
+      solution.admm_iterations = std::max(
+          solution.admm_iterations, static_cast<int>(outcome.steps));
     }
   }
 

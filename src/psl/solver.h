@@ -2,9 +2,9 @@
 #define TECORE_PSL_SOLVER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "ground/components.h"
 #include "ground/ground_network.h"
 #include "psl/admm.h"
 #include "psl/hlmrf.h"
@@ -12,18 +12,6 @@
 
 namespace tecore {
 namespace psl {
-
-/// \brief Cache of per-component ADMM results keyed by the component's
-/// content signature — the PSL counterpart of mln::MlnComponentCache.
-/// ADMM is deterministic, so a cached result is bit-identical to
-/// re-solving; entries assume unchanged solver options.
-struct PslComponentCache {
-  std::unordered_map<ground::Signature, AdmmResult, ground::SignatureHash>
-      entries;
-  /// Per-Solve() statistics (reset at each call).
-  size_t hits = 0;
-  size_t misses = 0;
-};
 
 /// \brief nPSL solver configuration.
 struct PslSolverOptions {
@@ -47,9 +35,6 @@ struct PslSolverOptions {
   /// 1 = sequential. Deterministic for any thread count (results are
   /// scattered into pre-sized vectors and reduced in component order).
   int num_threads = 0;
-  /// Optional per-component ADMM cache (see PslComponentCache); only
-  /// consulted on the per-component path. Not owned.
-  PslComponentCache* component_cache = nullptr;
 };
 
 /// \brief Outcome of the PSL pipeline.
@@ -70,6 +55,10 @@ struct PslSolution {
   int admm_iterations = 0;
   size_t num_components = 0;
   size_t largest_component = 0;
+  /// Components with clauses ADMM ran on in this call, and those whose
+  /// outcome was reused (carried over or spliced by signature).
+  size_t solved_components = 0;
+  size_t reused_components = 0;
   size_t repair_flips = 0;
   double solve_time_ms = 0.0;
 };
@@ -81,12 +70,25 @@ struct PslSolution {
 /// clause the rounding broke (flip the literal with the cheapest prior
 /// cost). Trades the MLN solver's exactness for near-linear scaling — the
 /// paper's expressiveness-vs-scalability axis.
+///
+/// The per-component path works on a ground::ComponentPartition exactly
+/// like mln::MlnMapSolver: ADMM runs only on components with no recorded
+/// outcome, each soft-truth vector is recorded as the partition's atom
+/// state, and energies are reduced in canonical component order. Rounding,
+/// repair and scoring then run over the whole network.
 class PslSolver {
  public:
   PslSolver(const ground::GroundNetwork& network,
             PslSolverOptions options = {});
 
+  /// \brief From scratch: partition the network and solve every component.
   Result<PslSolution> Solve();
+
+  /// \brief Run ADMM on the unsolved components of `components` (which
+  /// must partition the solver's network) and assemble the solution from
+  /// every component's recorded outcome. Ignored (monolithic ADMM) when
+  /// `use_components` is off.
+  Result<PslSolution> Solve(ground::ComponentPartition* components);
 
  private:
   const ground::GroundNetwork& network_;

@@ -10,18 +10,28 @@ namespace tecore {
 namespace rdf {
 
 void FactChunk::BuildIndex() {
+  static_assert(TemporalGraph::kChunkSize <= (size_t{1} << 16),
+                "local rows must fit the postings' uint16_t");
   const size_t n = size();
-  subj_idx.clear();
-  pred_idx.clear();
-  subj_idx.reserve(n);
-  pred_idx.reserve(n);
-  for (size_t l = 0; l < n; ++l) {
-    subj_idx.emplace_back(subject[l], static_cast<uint16_t>(l));
-    pred_idx.emplace_back(predicate[l], static_cast<uint16_t>(l));
-  }
-  // (term, local) pairs: sorting is stable w.r.t. id order within a term.
-  std::sort(subj_idx.begin(), subj_idx.end());
-  std::sort(pred_idx.begin(), pred_idx.end());
+  // Each (term, local) pair packs into one integer whose order is the
+  // pair order, so the sort compares integers; sorting is stable w.r.t.
+  // id order within a term.
+  std::vector<uint64_t> keys(n);
+  auto build = [&keys, n](const std::vector<TermId>& column,
+                          std::vector<std::pair<TermId, uint16_t>>* idx) {
+    for (size_t l = 0; l < n; ++l) {
+      keys[l] = (uint64_t{column[l]} << 16) | l;
+    }
+    std::sort(keys.begin(), keys.end());
+    idx->clear();
+    idx->reserve(n);
+    for (uint64_t key : keys) {
+      idx->emplace_back(static_cast<TermId>(key >> 16),
+                        static_cast<uint16_t>(key & 0xffff));
+    }
+  };
+  build(subject, &subj_idx);
+  build(predicate, &pred_idx);
   indexed = true;
 }
 
@@ -355,16 +365,53 @@ std::vector<std::pair<TermId, size_t>> TemporalGraph::PredicateCounts() const {
 
 TemporalGraph TemporalGraph::Filter(const std::vector<bool>& keep) const {
   TemporalGraph out;
-  for (FactId id = 0; id < num_facts_; ++id) {
-    if (id < keep.size() && keep[id] && is_live(id)) {
-      const TemporalFact f = fact(id);
-      TemporalFact copy(out.dict_->Intern(dict_->Lookup(f.subject)),
-                        out.dict_->Intern(dict_->Lookup(f.predicate)),
-                        out.dict_->Intern(dict_->Lookup(f.object)), f.interval,
-                        f.confidence);
-      Result<FactId> added = out.Add(copy);
-      (void)added;  // inputs were valid, copies are valid
+  // Each distinct term is interned once, through a dense source -> output
+  // table, in the order a row-by-row Add of the kept facts would intern it
+  // (subject, predicate, object per row), so term ids match that copy.
+  std::vector<TermId> term_map(dict_->Size(), kInvalidTermId);
+  auto map_term = [&](TermId t) {
+    TermId& mapped = term_map[t];
+    if (mapped == kInvalidTermId) mapped = out.dict_->Intern(dict_->Lookup(t));
+    return mapped;
+  };
+  std::vector<size_t> pred_counts;  // by output term id
+  FactChunk* chunk = nullptr;
+  for (size_t ci = 0; ci < chunks_.size(); ++ci) {
+    const FactChunk& src = *chunks_[ci];
+    const size_t base = ci << kChunkShift;
+    for (size_t l = 0; l < src.size(); ++l) {
+      const size_t id = base + l;
+      if (src.dead[l] != 0 || id >= keep.size() || !keep[id]) continue;
+      if (chunk == nullptr || chunk->size() == kChunkSize) {
+        out.chunks_.push_back(std::make_shared<FactChunk>());
+        chunk = out.chunks_.back().get();
+        chunk->subject.reserve(kChunkSize);
+        chunk->predicate.reserve(kChunkSize);
+        chunk->object.reserve(kChunkSize);
+        chunk->interval.reserve(kChunkSize);
+        chunk->confidence.reserve(kChunkSize);
+        chunk->dead.reserve(kChunkSize);
+      }
+      chunk->subject.push_back(map_term(src.subject[l]));
+      const TermId predicate = map_term(src.predicate[l]);
+      chunk->predicate.push_back(predicate);
+      chunk->object.push_back(map_term(src.object[l]));
+      chunk->interval.push_back(src.interval[l]);
+      chunk->confidence.push_back(src.confidence[l]);
+      chunk->dead.push_back(0);
+      if (chunk->size() == kChunkSize) chunk->BuildIndex();
+      if (predicate >= pred_counts.size()) pred_counts.resize(predicate + 1, 0);
+      ++pred_counts[predicate];
+      ++out.num_facts_;
     }
+  }
+  // The bookkeeping Add keeps per row, settled once.
+  out.num_live_ = out.num_facts_;
+  out.edit_epoch_ = out.num_facts_;
+  for (TermId p = 0; p < pred_counts.size(); ++p) {
+    if (pred_counts[p] == 0) continue;
+    out.pred_live_counts_.emplace(p, pred_counts[p]);
+    ++out.pred_set_epoch_;
   }
   return out;
 }

@@ -208,8 +208,10 @@ class TemporalGraph {
   /// listed with count 0.
   std::vector<std::pair<TermId, size_t>> PredicateCounts() const;
 
-  /// \brief New graph containing exactly the facts where keep[id] is true.
-  /// The dictionary is rebuilt (new graph is self-contained).
+  /// \brief New graph containing exactly the live facts where keep[id] is
+  /// true, in id order. The dictionary is rebuilt (the new graph is
+  /// self-contained): each distinct term is interned once, in first-use
+  /// order, and kept rows are appended straight into the new columns.
   TemporalGraph Filter(const std::vector<bool>& keep) const;
 
   /// \brief Render one fact as "(s, p, o, [b,e]) conf".

@@ -328,6 +328,7 @@ TEST(ApiEngine, PublishCachesReuseAcrossEdits) {
   // Compute (and cache) the conflict report for the current snapshot.
   auto baseline_report = engine.snapshot()->DetectConflicts();
   ASSERT_TRUE(baseline_report.ok());
+  const auto baseline_rules = engine.snapshot()->rules;
   const size_t baseline_conflicts = (*baseline_report)->NumConflicts();
   EXPECT_GT(baseline_conflicts, 0u);
 
@@ -345,6 +346,10 @@ TEST(ApiEngine, PublishCachesReuseAcrossEdits) {
   EXPECT_EQ((*carried)->NumConflicts(), baseline_conflicts);
   EXPECT_EQ((*carried)->num_input_facts,
             hobby->snapshot->graph->NumLiveFacts());
+  // What the write did not change is shared, not copied: the conflict
+  // lists and the rule set.
+  EXPECT_EQ((*carried)->lists, (*baseline_report)->lists);
+  EXPECT_EQ(hobby->snapshot->rules, baseline_rules);
 
   // Same predicate again: predicate set unchanged, completion index is
   // shared with the previous snapshot (same object), report carried again.
@@ -362,6 +367,7 @@ TEST(ApiEngine, PublishCachesReuseAcrossEdits) {
   auto coach = engine.ApplyEditScript("+ CR coach Bari [2000,2003] 0.5 .",
                                       core::ResolveOptions());
   ASSERT_TRUE(coach.ok()) << coach.status().ToString();
+  EXPECT_EQ(coach->snapshot->rules, baseline_rules);
   counters = engine.cache_counters();
   EXPECT_EQ(counters.conflict_carried, 2u);  // unchanged
   EXPECT_EQ(counters.completion_reused, 2u);  // coach already existed

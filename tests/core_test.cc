@@ -232,7 +232,7 @@ TEST(Session, FullWorkflow) {
   EXPECT_EQ(result->removed_facts.size(), 1u);
 
   // 4. browse.
-  std::string description = session.DescribeConflict(report->conflicts[0]);
+  std::string description = session.DescribeConflict(report->conflicts()[0]);
   EXPECT_NE(description.find("Napoli"), std::string::npos);
   EXPECT_NE(description.find("Chelsea"), std::string::npos);
 

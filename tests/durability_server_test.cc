@@ -169,6 +169,49 @@ TEST(DurabilityServer, AcknowledgedWritesSurviveRestart) {
   ASSERT_TRUE(storage::RemoveDirRecursive(data_dir).ok());
 }
 
+TEST(DurabilityServer, RejectedEditLeavesNothingToRecover) {
+  // An edit the resolver refuses to seed for (PSL cannot take a rule with
+  // a disjunctive head) fails — and must leave no WAL record behind, or a
+  // restart would apply it under the version the next write gets.
+  const std::string data_dir = ::testing::TempDir() + "/durable_rejected";
+  ASSERT_TRUE(storage::RemoveDirRecursive(data_dir).ok());
+  int64_t version = 0;
+  {
+    Generation first(data_dir);
+    ASSERT_GT(first.port(), 0);
+    ASSERT_EQ(StatusOf(Http(first.port(), "POST", "/v1/kb",
+                            "{\"name\":\"strict\"}")),
+              201);
+    ASSERT_EQ(StatusOf(Http(first.port(), "POST", "/v1/kb/strict/graph",
+                            "{\"text\":\"CR memberOf Club [2000,2004] 0.9 "
+                            ".\\n\"}")),
+              200);
+    ASSERT_EQ(StatusOf(Http(first.port(), "POST", "/v1/kb/strict/rules",
+                            "{\"text\":\"quad(x, memberOf, y, t) -> "
+                            "quad(x, worksFor, y, t) | "
+                            "quad(x, affiliatedWith, y, t) w = 1.0 .\"}")),
+              200);
+    version = BodyOf(Http(first.port(), "GET", "/v1/kb/strict/graph"))
+                  .GetInt("version", -1);
+    ASSERT_GT(version, 0);
+    const std::string rejected =
+        Http(first.port(), "POST", "/v1/kb/strict/edits",
+             "{\"script\":\"+ CR memberOf Bari [2006,2008] 0.5 .\\n\","
+             "\"solver\":\"psl\"}");
+    EXPECT_GE(StatusOf(rejected), 400) << rejected;
+    util::Json graph = BodyOf(Http(first.port(), "GET", "/v1/kb/strict/graph"));
+    EXPECT_EQ(graph.GetInt("num_facts", -1), 1);
+    EXPECT_EQ(graph.GetInt("version", -1), version);
+  }  // server stopped, registry destroyed — only the data dir remains
+
+  Generation second(data_dir);
+  ASSERT_GT(second.port(), 0);
+  util::Json graph = BodyOf(Http(second.port(), "GET", "/v1/kb/strict/graph"));
+  EXPECT_EQ(graph.GetInt("num_facts", -1), 1);
+  EXPECT_EQ(graph.GetInt("version", -1), version);
+  ASSERT_TRUE(storage::RemoveDirRecursive(data_dir).ok());
+}
+
 TEST(DurabilityServer, SseResumeReplaysMissedEditScripts) {
   const std::string data_dir = ::testing::TempDir() + "/durable_sse";
   ASSERT_TRUE(storage::RemoveDirRecursive(data_dir).ok());

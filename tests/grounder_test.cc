@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "datagen/generators.h"
+#include "ground/components.h"
 #include "ground/grounder.h"
 #include "kb/weighting.h"
 #include "rules/library.h"
@@ -226,10 +227,11 @@ TEST(GroundNetwork, ComponentsSplitIndependentSubjects) {
   unit.weight = 1.0;
   unit.literals = {PositiveLiteral(c)};
   net.AddClause(unit);
-  auto components = net.ConnectedComponents();
+  ComponentPartition components;
+  components.Build(net);
   ASSERT_EQ(components.size(), 2u);
   // {a,b} with the binary clause; {c} with its unit.
-  size_t sizes[2] = {components[0].atoms.size(), components[1].atoms.size()};
+  size_t sizes[2] = {components.atoms(0).size(), components.atoms(1).size()};
   EXPECT_EQ(sizes[0] + sizes[1], 3u);
 }
 

@@ -16,6 +16,7 @@
 #include "core/resolver.h"
 #include "core/session.h"
 #include "datagen/generators.h"
+#include "ground/components.h"
 #include "ground/ground_network.h"
 #include "ground/incremental.h"
 #include "rdf/io.h"
@@ -48,6 +49,29 @@ std::string RenderNetwork(const ground::GroundNetwork& net,
     out += '\n';
   }
   return out;
+}
+
+/// Renders a component partition's layout: each component's atoms and
+/// clause indices, in component order.
+std::string RenderPartition(const ground::ComponentPartition& components) {
+  std::string out;
+  for (uint32_t c = 0; c < components.size(); ++c) {
+    for (ground::AtomId atom : components.atoms(c)) {
+      out += StringPrintf("%u,", atom);
+    }
+    out += '|';
+    for (uint32_t ci : components.clauses(c)) out += StringPrintf("%u,", ci);
+    out += '\n';
+  }
+  return out;
+}
+
+/// The carried partition must lay out exactly as partitioning the
+/// maintained network from scratch would.
+void ExpectPartitionCarriedExactly(const core::IncrementalResolver& resolver) {
+  ground::ComponentPartition fresh;
+  fresh.Build(resolver.network());
+  EXPECT_EQ(RenderPartition(resolver.components()), RenderPartition(fresh));
 }
 
 /// Maps fact ids of a graph-with-tombstones to the ids the compacted graph
@@ -261,13 +285,42 @@ TEST(IncrementalResolve, PureInsertionFastPathIsBitIdentical) {
   ASSERT_TRUE(resolver.Initialize().ok());
 
   Rng rng(99);
-  for (int batch = 0; batch < 3; ++batch) {
+  for (int batch = 0; batch < 7; ++batch) {
     SCOPED_TRACE(batch);
     std::vector<core::GraphEdit> edits =
         RandomBatch(&kg.graph, &rng, /*inserts=*/4, /*retracts=*/0);
+    if (batch < 3) {
+      // Two overlapping spells of a newcomer conflict only with each other:
+      // new components only, but the conflict clause lands inside the
+      // sorted rule block, so every later clause index shifts.
+      for (int team = 0; team < 2; ++team) {
+        core::GraphEdit edit;
+        edit.kind = core::GraphEdit::Kind::kInsert;
+        edit.fact = rdf::TemporalFact(
+            kg.graph.dict().InternIri(StringPrintf("Newcomer%d", batch)),
+            kg.graph.dict().InternIri("playsFor"),
+            kg.graph.dict().InternIri(StringPrintf("NewTeam%d", team)),
+            temporal::Interval(2000 + team, 2005 + team), 0.7);
+        edits.push_back(edit);
+      }
+    } else {
+      // A spell spanning a generated player's whole career conflicts with
+      // each of the player's spells: the insert merges several carried
+      // components into one and renumbers every component after them —
+      // where the next batch's player (a later one) has its components.
+      core::GraphEdit edit;
+      edit.kind = core::GraphEdit::Kind::kInsert;
+      edit.fact = rdf::TemporalFact(
+          kg.graph.dict().InternIri(StringPrintf("Player%05d", 30 * batch - 80)),
+          kg.graph.dict().InternIri("playsFor"),
+          kg.graph.dict().InternIri(StringPrintf("WideTeam%d", batch)),
+          temporal::Interval(1960, 2020), 0.4);
+      edits.push_back(edit);
+    }
     auto result = resolver.ApplyEdits(edits);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_TRUE(resolver.last_update_stats().fast_path);
+    ExpectPartitionCarriedExactly(resolver);
     core::ResolveResult scratch =
         ScratchResolve(kg.graph, rules, core::ResolveOptions());
     ExpectResolutionBitIdentical(*result, kg.graph, scratch);
@@ -287,6 +340,136 @@ TEST(IncrementalResolve, PureInsertionFastPathIsBitIdentical) {
   EXPECT_EQ(RenderNetwork(resolver.network(), kg.graph.dict()),
             ScratchNetworkRendering(kg.graph, rules,
                                     ground::GroundingOptions()));
+}
+
+TEST(IncrementalResolve, FastPathWithDerivedBlockMatchesFromScratch) {
+  // With inference rules the network has a derived block, so a fast-path
+  // insert places its evidence atom in front of it and every derived id
+  // shifts — and the carried component partition has to follow. A seeded
+  // sequence cycles through four kinds of step: facts of a predicate no
+  // rule reads (fast path, new components only), a second birth date far
+  // in the past (fast path: its conflict clause merges the new atom into
+  // the player's component), a duplicate-quad insert (merge, then
+  // rebuild) and a retraction (rebuild). Every step must match a
+  // from-scratch run bit-for-bit, for both backends at 1 and 4 threads.
+  const rules::RuleSet rules = FootballRules(/*with_inference=*/true);
+  datagen::FootballDbOptions gen;
+  gen.num_players = 100;
+  gen.num_teams = 10;
+
+  struct Track {
+    datagen::GeneratedKg kg;
+    core::ResolveOptions options;
+    std::unique_ptr<core::IncrementalResolver> resolver;
+    int fast_steps = 0;
+  };
+  std::vector<std::unique_ptr<Track>> tracks;
+  for (rules::SolverKind solver :
+       {rules::SolverKind::kMln, rules::SolverKind::kPsl}) {
+    for (int threads : {1, 4}) {
+      auto track = std::make_unique<Track>();
+      track->kg = datagen::GenerateFootballDb(gen);
+      track->options.solver = solver;
+      track->options.num_threads = threads;
+      track->options.ground_threads = threads;
+      // The rules join most of the KB into one component; its exact MAP
+      // would dominate the runtime, so it takes the (deterministic)
+      // WalkSAT fallback on both paths.
+      track->options.mln.exact_var_limit = 64;
+      track->resolver = std::make_unique<core::IncrementalResolver>(
+          &track->kg.graph, rules, track->options);
+      auto init = track->resolver->Initialize();
+      ASSERT_TRUE(init.ok()) << init.status().ToString();
+      tracks.push_back(std::move(track));
+    }
+  }
+  ASSERT_LT(tracks[0]->resolver->network().NumEvidenceAtoms(),
+            tracks[0]->resolver->network().NumAtoms());  // derived block
+
+  Rng rng(20261017);
+  const int kSteps = 12;
+  for (int step = 0; step < kSteps; ++step) {
+    // Build the step against track 0's graph and ship it as an edit
+    // script, which every track parses against its own dictionary.
+    rdf::TemporalGraph& graph0 = tracks[0]->kg.graph;
+    std::vector<core::GraphEdit> edits;
+    const int kind = step % 4;
+    auto random_live = [&]() {
+      rdf::FactId id = static_cast<rdf::FactId>(rng.Uniform(graph0.NumFacts()));
+      while (!graph0.is_live(id)) id = (id + 1) % graph0.NumFacts();
+      return graph0.fact(id);
+    };
+    auto confidence = [&]() {
+      return 0.05 + 0.9 * (static_cast<double>(rng.Next() >> 11) * 0x1.0p-53);
+    };
+    core::GraphEdit edit;
+    edit.kind = core::GraphEdit::Kind::kInsert;
+    if (kind == 0) {
+      // Fresh facts of a predicate no rule reads.
+      const size_t count = 1 + rng.Uniform(3);
+      for (size_t i = 0; i < count; ++i) {
+        const int64_t begin = 1980 + static_cast<int64_t>(rng.Uniform(30));
+        edit.fact = rdf::TemporalFact(
+            graph0.dict().InternIri("player" + std::to_string(rng.Uniform(100))),
+            graph0.dict().InternIri("hobby"),
+            graph0.dict().InternIri("hobby" + std::to_string(step) + "_" +
+                                    std::to_string(i)),
+            temporal::Interval(begin, begin + 3), confidence());
+        edits.push_back(edit);
+      }
+    } else if (kind == 1) {
+      // A birth date too early for any career to make a TeenPlayer: it
+      // only conflicts with the player's existing birth date(s).
+      const std::vector<rdf::FactId> births =
+          graph0.FactsWithPredicate(graph0.dict().InternIri("birthDate"));
+      ASSERT_FALSE(births.empty());
+      const rdf::TemporalFact birth =
+          graph0.fact(births[rng.Uniform(births.size())]);
+      const int64_t year = 1900 - step;
+      edit.fact = rdf::TemporalFact(
+          birth.subject, birth.predicate,
+          graph0.dict().Intern(rdf::Term::IntLiteral(year)),
+          temporal::Interval(year, 2017), confidence());
+      edits.push_back(edit);
+    } else if (kind == 2) {
+      // A second fact with the quad of a live one: its prior merges.
+      edit.fact = random_live();
+      edit.fact.confidence = confidence();
+      edits.push_back(edit);
+    } else {
+      edit.kind = core::GraphEdit::Kind::kRetract;
+      edit.fact = random_live();
+      edits.push_back(edit);
+    }
+    const std::string script = core::EditScriptToText(edits, graph0);
+
+    std::vector<core::ResolveResult> results;
+    for (std::unique_ptr<Track>& track : tracks) {
+      auto local = core::ParseEditScript(script, &track->kg.graph);
+      ASSERT_TRUE(local.ok()) << local.status().ToString();
+      auto result = track->resolver->ApplyEdits(*local);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const bool fast = track->resolver->last_update_stats().fast_path;
+      EXPECT_EQ(fast, kind <= 1) << "step " << step;
+      ExpectPartitionCarriedExactly(*track->resolver);
+      track->fast_steps += fast ? 1 : 0;
+      results.push_back(std::move(*result));
+    }
+    const std::string scratch_net =
+        ScratchNetworkRendering(graph0, rules, ground::GroundingOptions());
+    for (size_t t = 0; t < tracks.size(); ++t) {
+      SCOPED_TRACE(StringPrintf("step %d track %zu", step, t));
+      core::ResolveResult scratch =
+          ScratchResolve(tracks[t]->kg.graph, rules, tracks[t]->options);
+      ExpectResolutionBitIdentical(results[t], tracks[t]->kg.graph, scratch);
+      EXPECT_EQ(RenderNetwork(tracks[t]->resolver->network(),
+                              tracks[t]->kg.graph.dict()),
+                scratch_net);
+    }
+  }
+  for (const std::unique_ptr<Track>& track : tracks) {
+    EXPECT_GE(4 * track->fast_steps, kSteps);
+  }
 }
 
 TEST(IncrementalResolve, RetractAndRederiveInOneBatch) {

@@ -96,7 +96,7 @@ TEST(FootballConflicts, DetectionFindsInjectedNoise) {
   EXPECT_GT(report->NumConflicts(), 0u);
   // Most conflicting facts involve at least one injected-noise fact.
   size_t with_noise = 0;
-  for (const core::Conflict& conflict : report->conflicts) {
+  for (const core::Conflict& conflict : report->conflicts()) {
     for (rdf::FactId id : conflict.facts) {
       if (kg.is_noise[id]) {
         ++with_noise;

@@ -58,15 +58,14 @@ TEST(Translation, WcnfMirrorsNetwork) {
 
 TEST(Translation, ComponentRenumberingIsDense) {
   ground::GroundingResult grounding = GroundRunningExample();
-  auto components = grounding.network.ConnectedComponents();
+  ground::ComponentPartition components;
+  components.Build(grounding.network);
   size_t total_atoms = 0;
-  for (const auto& component : components) {
-    std::vector<ground::AtomId> atom_map;
-    maxsat::Wcnf wcnf =
-        BuildComponentWcnf(grounding.network, component, &atom_map);
-    EXPECT_EQ(atom_map.size(), component.atoms.size());
-    EXPECT_EQ(static_cast<size_t>(wcnf.num_vars()), component.atoms.size());
-    total_atoms += component.atoms.size();
+  for (uint32_t c = 0; c < components.size(); ++c) {
+    maxsat::Wcnf wcnf = BuildComponentWcnf(
+        grounding.network, components.atoms(c), components.clauses(c));
+    EXPECT_EQ(static_cast<size_t>(wcnf.num_vars()), components.atoms(c).size());
+    total_atoms += components.atoms(c).size();
   }
   EXPECT_EQ(total_atoms, grounding.network.NumAtoms());
 }

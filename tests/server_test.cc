@@ -924,6 +924,40 @@ TEST_F(ServerTest, MetricsCountPipelineStages) {
   EXPECT_GE(delta("publish"), 1);  // graph/rules/solve all publish
 }
 
+TEST_F(ServerTest, MetricsExportIncrementalInternals) {
+  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb", "{\"name\":\"inc\"}")),
+            201);
+  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/inc/graph",
+                          "{\"text\":\"A playsFor X [1,5] 0.9 .\\n"
+                          "A playsFor Y [3,8] 0.6 .\\n"
+                          "X locatedIn C1 [1,9] 0.9 .\\n\"}")),
+            200);
+  ASSERT_EQ(StatusOf(Http(
+                port_, "POST", "/v1/kb/inc/rules",
+                "{\"text\":\"c1: quad(x, playsFor, y, t) & "
+                "quad(x, playsFor, z, t') & y != z -> disjoint(t, t') .\"}")),
+            200);
+  // The first edit seeds the incremental resolver; the second is the
+  // measured one: a relocation, which no rule reads.
+  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/inc/edits",
+                          "{\"script\":\"+ X locatedIn C2 [1,3] 0.7 .\\n\"}")),
+            200);
+  const std::string before = TextBodyOf(Http(port_, "GET", "/metrics"));
+  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/inc/edits",
+                          "{\"script\":\"+ Y locatedIn C3 [2,4] 0.8 .\\n\"}")),
+            200);
+  const std::string after = TextBodyOf(Http(port_, "GET", "/metrics"));
+  const auto delta = [&](const std::string& series) {
+    const long long b = MetricValue(before, series);
+    const long long a = MetricValue(after, series);
+    return a - (b < 0 ? 0 : b);
+  };
+  EXPECT_EQ(delta("tecore_incremental_updates_total{path=\"fast\"}"), 1);
+  EXPECT_EQ(delta("tecore_incremental_updates_total{path=\"rebuild\"}"), 0);
+  EXPECT_LE(delta("tecore_solve_components_total{outcome=\"solved\"}"), 1);
+  EXPECT_GE(delta("tecore_solve_components_total{outcome=\"reused\"}"), 2);
+}
+
 TEST_F(ServerTest, SseSubscriberGaugeTracksOpenStreams) {
   ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb", "{\"name\":\"obs\"}")),
             201);

@@ -95,7 +95,7 @@ std::string StatsToString(const kb::GraphStatistics& stats) {
 std::string ConflictsToString(const core::ConflictReport& report,
                               const rdf::TemporalGraph& graph) {
   std::vector<std::string> conflicts;
-  for (const core::Conflict& conflict : report.conflicts) {
+  for (const core::Conflict& conflict : report.conflicts()) {
     std::vector<std::string> facts;
     for (rdf::FactId id : conflict.facts) {
       facts.push_back(graph.FactToString(id));
@@ -107,7 +107,7 @@ std::string ConflictsToString(const core::ConflictReport& report,
   }
   std::sort(conflicts.begin(), conflicts.end());
   std::vector<std::string> in_conflict;
-  for (rdf::FactId id : report.conflicting_facts) {
+  for (rdf::FactId id : report.conflicting_facts()) {
     in_conflict.push_back(graph.FactToString(id));
   }
   std::sort(in_conflict.begin(), in_conflict.end());
@@ -116,7 +116,7 @@ std::string ConflictsToString(const core::ConflictReport& report,
   out += "facts:";
   for (const std::string& fact : in_conflict) out += " " + fact;
   out += "\nper_rule:";
-  for (size_t count : report.per_rule_counts) {
+  for (size_t count : report.per_rule_counts()) {
     out += StringPrintf("%zu,", count);
   }
   out += '\n';
