@@ -129,10 +129,12 @@ class Resolver {
 /// Which path an edit takes:
 ///  * An insert-only batch of new quads that derives no new atom (the
 ///    grounding fast path, e.g. a fact of a predicate no rule reads) costs
-///    work in proportion to the edit: each new atom starts its own
-///    component, each fresh clause merges the components it touches, only
-///    those merged components are spliced by signature or solved, and every
-///    other component is carried over untouched.
+///    work in proportion to the edit when its new atoms join no existing
+///    component: they form new components appended in canonical order,
+///    only those are spliced by signature or solved, and every other
+///    component is carried over untouched. A fast-path insert whose fresh
+///    clause reaches an existing component re-partitions the network in
+///    one flat pass instead, as the rebuild path does.
 ///  * Any other batch (a retraction, a duplicate quad, a new derived atom)
 ///    rebuilds the network and re-partitions it in one flat pass; every
 ///    component whose signature matches one of the previous partition

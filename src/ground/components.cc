@@ -86,14 +86,27 @@ void ComponentPartition::Build(const GroundNetwork& network) {
       Unite(&parent, first, LiteralAtom(clause.literals[i]));
     }
   }
-  next.atom_component_.resize(n);
+  std::vector<uint32_t> component(n);
   uint32_t num_components = 0;
   for (AtomId a = 0; a < n; ++a) {
     const uint32_t root = FindRoot(&parent, a);
-    next.atom_component_[a] =
-        root == a ? num_components++ : next.atom_component_[root];
+    component[a] = root == a ? num_components++ : component[root];
   }
-  next.LayOut(network, num_components);
+  // Lay out the CSR runs: counting sorts over atoms and over clauses, each
+  // clause keyed by its first atom.
+  const std::vector<GroundClause>& net_clauses = network.clauses();
+  CountingSort(
+      n, num_components, [&component](size_t a) { return component[a]; },
+      &next.atom_begin_, &next.atoms_);
+  CountingSort(
+      net_clauses.size(), num_components,
+      [&component, &net_clauses](size_t ci) {
+        return component[LiteralAtom(net_clauses[ci].literals[0])];
+      },
+      &next.clause_begin_, &next.clauses_);
+  for (uint32_t c = 0; c < num_components; ++c) {
+    if (next.has_clauses(c)) ++next.num_with_clauses_;
+  }
   next.outcomes_.resize(num_components);
   next.solved_.assign(num_components, 0);
   next.atom_state_.assign(n, 0.0);
@@ -123,161 +136,102 @@ void ComponentPartition::ApplyInsertion(const GroundNetwork& network,
   const std::vector<uint32_t>& inserted = insertion.clauses;
   if (k == 0 && inserted.empty()) return;
   const std::vector<GroundClause>& net_clauses = network.clauses();
-  auto first_atom = [&net_clauses](uint32_t ci) {
-    return LiteralAtom(net_clauses[ci].literals[0]);
-  };
 
-  // Atoms at or past `at` (the derived block) moved up by k.
+  // Atoms at or past `at` (the derived block) moved up by k; their carried
+  // states move with them.
   if (k > 0) {
-    if (at < atom_component_.size()) {
+    if (at < atom_state_.size()) {
       for (AtomId& a : atoms_) {
         if (a >= at) a += k;
       }
     }
-    atom_component_.insert(atom_component_.begin() + at, k, kNone);
     atom_state_.insert(atom_state_.begin() + at, k, 0.0);
   }
 
-  // Group the new atoms and the old components the inserted clauses touch
-  // (node ids: new atom a -> a - at; touched component -> k + its rank in
-  // `touched`). Each group becomes one component, placed by its lowest
-  // atom.
-  auto is_new = [at, k](AtomId a) { return a >= at && a < at + k; };
-  std::vector<uint32_t> touched;
-  for (uint32_t ci : inserted) {
-    for (int32_t lit : net_clauses[ci].literals) {
+  // The common case appends: the inserted clauses join new atoms only, and
+  // the new atoms sort after every old component's lowest atom, so the new
+  // components come last in canonical order and every old one keeps its
+  // number. Any other insertion re-partitions the updated network, which
+  // splices every unchanged component back by signature.
+  const uint32_t old_size = static_cast<uint32_t>(size());
+  bool append = k > 0 && (old_size == 0 || atoms(old_size - 1)[0] < at);
+  for (size_t j = 0; append && j < inserted.size(); ++j) {
+    for (int32_t lit : net_clauses[inserted[j]].literals) {
       const AtomId a = LiteralAtom(lit);
-      if (!is_new(a)) touched.push_back(atom_component_[a]);
+      if (a < at || a >= at + k) {
+        append = false;
+        break;
+      }
     }
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  auto node_of = [&](AtomId a) {
-    if (is_new(a)) return static_cast<uint32_t>(a - at);
-    return k + static_cast<uint32_t>(std::lower_bound(touched.begin(),
-                                                      touched.end(),
-                                                      atom_component_[a]) -
-                                     touched.begin());
-  };
-  const size_t num_nodes = k + touched.size();
-  std::vector<uint32_t> parent(num_nodes);
+  if (!append) {
+    Build(network);
+    return;
+  }
+
+  // Union the new atoms along the inserted clauses. Roots are lowest ids,
+  // so numbering roots in atom order numbers the new components in
+  // canonical order.
+  std::vector<uint32_t> parent(k);
   std::iota(parent.begin(), parent.end(), 0u);
   for (uint32_t ci : inserted) {
     const std::vector<int32_t>& lits = net_clauses[ci].literals;
-    const uint32_t first = node_of(LiteralAtom(lits[0]));
+    const uint32_t first = LiteralAtom(lits[0]) - at;
     for (size_t i = 1; i < lits.size(); ++i) {
-      Unite(&parent, first, node_of(LiteralAtom(lits[i])));
+      Unite(&parent, first, LiteralAtom(lits[i]) - at);
     }
   }
-  std::vector<uint32_t> group_of(num_nodes);
-  std::vector<AtomId> group_lowest;
-  for (uint32_t node = 0; node < num_nodes; ++node) {
-    const uint32_t root = FindRoot(&parent, node);  // root <= node
-    if (root == node) {
-      group_of[node] = static_cast<uint32_t>(group_lowest.size());
-      group_lowest.push_back(kNone);
-    } else {
-      group_of[node] = group_of[root];
-    }
-    const AtomId lowest = node < k ? at + node : atoms(touched[node - k])[0];
-    group_lowest[group_of[node]] =
-        std::min(group_lowest[group_of[node]], lowest);
+  std::vector<uint32_t> group(k);  // new component of each new atom, from 0
+  uint32_t num_groups = 0;
+  for (uint32_t i = 0; i < k; ++i) {
+    const uint32_t root = FindRoot(&parent, i);
+    group[i] = root == i ? num_groups++ : group[root];
   }
-  const uint32_t num_groups = static_cast<uint32_t>(group_lowest.size());
-  std::vector<uint32_t> by_lowest(num_groups);
-  std::iota(by_lowest.begin(), by_lowest.end(), 0u);
-  std::sort(by_lowest.begin(), by_lowest.end(),
-            [&group_lowest](uint32_t a, uint32_t b) {
-              return group_lowest[a] < group_lowest[b];
-            });
+  std::vector<uint32_t> atom_begin;
+  std::vector<uint32_t> atom_order;
+  CountingSort(
+      k, num_groups, [&group](size_t i) { return group[i]; }, &atom_begin,
+      &atom_order);
+  std::vector<uint32_t> clause_begin;
+  std::vector<uint32_t> clause_order;
+  CountingSort(
+      inserted.size(), num_groups,
+      [&](size_t j) {
+        return group[LiteralAtom(net_clauses[inserted[j]].literals[0]) - at];
+      },
+      &clause_begin, &clause_order);
 
-  const uint32_t old_size = static_cast<uint32_t>(size());
-  std::vector<uint32_t> fresh(num_groups);  // component id of each group
-  const bool append =
-      touched.empty() &&
-      (old_size == 0 || group_lowest[by_lowest[0]] > atoms(old_size - 1)[0]);
-  if (append) {
-    // The common case: the groups are new atoms only, and they sort after
-    // every old component. Old clause ids move up by the number of
-    // inserted clauses placed before them.
-    std::vector<uint32_t> before(inserted.size());
-    for (size_t j = 0; j < inserted.size(); ++j) {
-      before[j] = inserted[j] - static_cast<uint32_t>(j);
-    }
-    if (!before.empty() && before.front() < clauses_.size()) {
-      for (uint32_t& ci : clauses_) {
-        ci += static_cast<uint32_t>(
-            std::upper_bound(before.begin(), before.end(), ci) -
-            before.begin());
-      }
-    }
-    for (uint32_t g : by_lowest) {
-      const uint32_t c = static_cast<uint32_t>(size());
-      fresh[g] = c;
-      for (AtomId a = at; a < at + k; ++a) {
-        if (group_of[a - at] != g) continue;
-        atoms_.push_back(a);
-        atom_component_[a] = c;
-      }
-      for (uint32_t ci : inserted) {
-        if (group_of[node_of(first_atom(ci))] == g) clauses_.push_back(ci);
-      }
-      atom_begin_.push_back(static_cast<uint32_t>(atoms_.size()));
-      clause_begin_.push_back(static_cast<uint32_t>(clauses_.size()));
-      outcomes_.emplace_back();
-      solved_.push_back(0);
-      if (has_clauses(c)) ++num_with_clauses_;
-    }
-  } else {
-    // Renumber in one flat pass: untouched components keep their outcomes
-    // and relative order, the groups slot in by lowest atom.
-    std::vector<uint32_t> renumber(old_size, kNone);
-    std::vector<ComponentOutcome> outcomes;
-    std::vector<uint8_t> solved;
-    outcomes.reserve(old_size + num_groups);
-    solved.reserve(old_size + num_groups);
-    size_t t = 0;  // cursor into touched
-    size_t r = 0;  // cursor into by_lowest
-    for (uint32_t c = 0; c <= old_size; ++c) {
-      if (t < touched.size() && touched[t] == c) {
-        ++t;
-        continue;
-      }
-      const AtomId lowest = c < old_size ? atoms(c)[0] : kNone;
-      while (r < num_groups && group_lowest[by_lowest[r]] < lowest) {
-        fresh[by_lowest[r++]] = static_cast<uint32_t>(outcomes.size());
-        outcomes.emplace_back();
-        solved.push_back(0);
-      }
-      if (c == old_size) break;
-      renumber[c] = static_cast<uint32_t>(outcomes.size());
-      outcomes.push_back(outcomes_[c]);
-      solved.push_back(solved_[c]);
-    }
-    for (AtomId a = 0; a < atom_component_.size(); ++a) {
-      const uint32_t c = atom_component_[a];
-      atom_component_[a] = c != kNone && renumber[c] != kNone
-                               ? renumber[c]
-                               : fresh[group_of[node_of(a)]];
-    }
-    outcomes_.swap(outcomes);
-    solved_.swap(solved);
-    LayOut(network, static_cast<uint32_t>(outcomes_.size()));
-    // The signature index follows the renumbering; merged-away components
-    // leave it. Filtering keeps it sorted.
-    size_t kept = 0;
-    for (const SignatureEntry& entry : index_) {
-      const uint32_t c = renumber[entry.component];
-      if (c != kNone) index_[kept++] = {entry.signature, c};
-    }
-    index_.resize(kept);
+  // Old clause ids move up by the number of inserted clauses placed before
+  // them.
+  std::vector<uint32_t> before(inserted.size());
+  for (size_t j = 0; j < inserted.size(); ++j) {
+    before[j] = inserted[j] - static_cast<uint32_t>(j);
   }
+  if (!before.empty() && before.front() < clauses_.size()) {
+    for (uint32_t& ci : clauses_) {
+      ci += static_cast<uint32_t>(
+          std::upper_bound(before.begin(), before.end(), ci) - before.begin());
+    }
+  }
+
+  // Append the new components' runs.
+  const uint32_t atom_base = static_cast<uint32_t>(atoms_.size());
+  const uint32_t clause_base = static_cast<uint32_t>(clauses_.size());
+  for (uint32_t i : atom_order) atoms_.push_back(at + i);
+  for (uint32_t j : clause_order) clauses_.push_back(inserted[j]);
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    atom_begin_.push_back(atom_base + atom_begin[g + 1]);
+    clause_begin_.push_back(clause_base + clause_begin[g + 1]);
+    if (has_clauses(old_size + g)) ++num_with_clauses_;
+  }
+  outcomes_.resize(size());
+  solved_.resize(size(), 0);
 
   // Splice or leave for the solver: only the new components are looked
   // up, against the components that existed before this update.
   if (!indexed_) return;
   std::vector<SignatureEntry> entries;
-  for (uint32_t c : fresh) {
+  for (uint32_t c = old_size; c < size(); ++c) {
     if (!has_clauses(c)) continue;
     const Signature sig = ComponentSignature(network, atoms(c), clauses(c));
     const uint32_t source = Lookup(sig);
@@ -288,24 +242,6 @@ void ComponentPartition::ApplyInsertion(const GroundNetwork& network,
   const size_t mid = index_.size();
   index_.insert(index_.end(), entries.begin(), entries.end());
   std::inplace_merge(index_.begin(), index_.begin() + mid, index_.end());
-}
-
-void ComponentPartition::LayOut(const GroundNetwork& network,
-                                uint32_t num_components) {
-  const std::vector<GroundClause>& net_clauses = network.clauses();
-  CountingSort(
-      atom_component_.size(), num_components,
-      [this](size_t a) { return atom_component_[a]; }, &atom_begin_, &atoms_);
-  CountingSort(
-      net_clauses.size(), num_components,
-      [this, &net_clauses](size_t ci) {
-        return atom_component_[LiteralAtom(net_clauses[ci].literals[0])];
-      },
-      &clause_begin_, &clauses_);
-  num_with_clauses_ = 0;
-  for (uint32_t c = 0; c < num_components; ++c) {
-    if (has_clauses(c)) ++num_with_clauses_;
-  }
 }
 
 std::vector<uint32_t> ComponentPartition::Unsolved() const {

@@ -88,11 +88,11 @@ struct NetworkInsertion {
 ///
 /// Layout: flat arrays only. Components are numbered in *canonical order*
 /// (ascending lowest atom id); `atoms(c)` and `clauses(c)` are ascending
-/// runs of two CSR arrays, each atom's component is one array over atoms,
-/// and each atom's solved state (MLN truth value as 0/1, PSL soft truth) lives in
-/// one array over atoms. Solvers reduce objectives in canonical order, so
-/// a result assembled from carried and freshly solved outcomes is
-/// bit-identical to solving every component from scratch.
+/// runs of two CSR arrays, and each atom's solved state (MLN truth value as
+/// 0/1, PSL soft truth) lives in one array over atoms. Solvers reduce
+/// objectives in canonical order, so a result assembled from carried and
+/// freshly solved outcomes is bit-identical to solving every component
+/// from scratch.
 ///
 /// Three ways in:
 ///  * Build() partitions a network from scratch in one union-find pass and
@@ -100,11 +100,13 @@ struct NetworkInsertion {
 ///    signatures (IndexSignatures), every new component whose signature
 ///    matches a previous one takes over that outcome; the rest start
 ///    unsolved.
-///  * ApplyInsertion() folds an insert-only update in: each new atom
-///    starts its own component, each inserted clause merges the components
-///    it touches, and only those merged components are looked up by
-///    signature or left for the solver. Every other component, and its
-///    outcome, is carried over untouched.
+///  * ApplyInsertion() folds an insert-only update in. When the inserted
+///    clauses join new atoms only and the new atoms sort after every old
+///    component (facts that extend no existing component), the new
+///    components are appended: only they are looked up by signature or
+///    left for the solver, and every old component, with its outcome, is
+///    carried over untouched. Any other insertion re-partitions through
+///    Build(), which splices every unchanged component back by signature.
 ///  * The solver records outcomes of the components Unsolved() lists.
 class ComponentPartition {
  public:
@@ -113,7 +115,10 @@ class ComponentPartition {
   void Build(const GroundNetwork& network);
 
   /// \brief Fold an insert-only update of the network this partition
-  /// describes; `network` is the updated network.
+  /// describes; `network` is the updated network. The append case costs
+  /// O(new atoms + inserted clauses) beyond two flat id shifts; the rest
+  /// costs a Build(), which keeps outcomes only if the partition is
+  /// indexed.
   void ApplyInsertion(const GroundNetwork& network,
                       const NetworkInsertion& insertion);
 
@@ -162,9 +167,6 @@ class ComponentPartition {
     }
   };
 
-  /// Lay out the CSR runs from atom_component_ (counting sorts over atoms
-  /// and over `network`'s clauses, keyed by each one's first atom).
-  void LayOut(const GroundNetwork& network, uint32_t num_components);
   /// Component of `signature` in index_, or kNone.
   uint32_t Lookup(const Signature& signature) const;
   /// Adopt the outcome and atom state of `source` (in `from`, with its own
@@ -176,7 +178,6 @@ class ComponentPartition {
   std::vector<AtomId> atoms_;
   std::vector<uint32_t> clause_begin_{0};
   std::vector<uint32_t> clauses_;
-  std::vector<uint32_t> atom_component_;
   size_t num_with_clauses_ = 0;
   // Carried MAP state.
   std::vector<ComponentOutcome> outcomes_;

@@ -88,13 +88,11 @@ Term* Dictionary::SlotFor(TermId id) {
 TermId Dictionary::Intern(const Term& term) {
   Shard& shard = shards_[ShardFor(term)];
   util::MutexLock lock(shard.mutex);
-  // One probe: a miss inserts a placeholder, filled in below while the
-  // shard lock still hides it from Find.
-  auto [it, inserted] = shard.index.try_emplace(term, kInvalidTermId);
-  if (!inserted) return it->second;
+  auto it = shard.index.find(term);
+  if (it != shard.index.end()) return it->second;
   const TermId id = next_id_.fetch_add(1, std::memory_order_acq_rel);
   *SlotFor(id) = term;
-  it->second = id;
+  shard.index.emplace(term, id);
   // Count only genuinely new terms — the miss path. Hits (the common
   // case at steady state) pay nothing.
   static const auto interned = obs::Registry::Default()->GetCounter(

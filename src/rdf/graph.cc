@@ -10,28 +10,18 @@ namespace tecore {
 namespace rdf {
 
 void FactChunk::BuildIndex() {
-  static_assert(TemporalGraph::kChunkSize <= (size_t{1} << 16),
-                "local rows must fit the postings' uint16_t");
   const size_t n = size();
-  // Each (term, local) pair packs into one integer whose order is the
-  // pair order, so the sort compares integers; sorting is stable w.r.t.
-  // id order within a term.
-  std::vector<uint64_t> keys(n);
-  auto build = [&keys, n](const std::vector<TermId>& column,
-                          std::vector<std::pair<TermId, uint16_t>>* idx) {
-    for (size_t l = 0; l < n; ++l) {
-      keys[l] = (uint64_t{column[l]} << 16) | l;
-    }
-    std::sort(keys.begin(), keys.end());
-    idx->clear();
-    idx->reserve(n);
-    for (uint64_t key : keys) {
-      idx->emplace_back(static_cast<TermId>(key >> 16),
-                        static_cast<uint16_t>(key & 0xffff));
-    }
-  };
-  build(subject, &subj_idx);
-  build(predicate, &pred_idx);
+  subj_idx.clear();
+  pred_idx.clear();
+  subj_idx.reserve(n);
+  pred_idx.reserve(n);
+  for (size_t l = 0; l < n; ++l) {
+    subj_idx.emplace_back(subject[l], static_cast<uint16_t>(l));
+    pred_idx.emplace_back(predicate[l], static_cast<uint16_t>(l));
+  }
+  // (term, local) pairs: sorting is stable w.r.t. id order within a term.
+  std::sort(subj_idx.begin(), subj_idx.end());
+  std::sort(pred_idx.begin(), pred_idx.end());
   indexed = true;
 }
 
@@ -106,17 +96,11 @@ FactChunk* TemporalGraph::MutableChunk(size_t ci) {
   return slot.get();
 }
 
-Result<FactId> TemporalGraph::Add(const TemporalFact& fact) {
-  if (fact.confidence <= 0.0 || fact.confidence > 1.0) {
-    return Status::InvalidArgument(
-        StringPrintf("confidence must be in (0,1], got %g", fact.confidence));
-  }
-  if (fact.subject == kInvalidTermId || fact.predicate == kInvalidTermId ||
-      fact.object == kInvalidTermId) {
-    return Status::InvalidArgument("fact references an invalid term id");
-  }
-  const FactId id = static_cast<FactId>(num_facts_);
-  const size_t ci = id >> kChunkShift;
+void TemporalGraph::AppendRow(TermId subject, TermId predicate,
+                              TermId object,
+                              const temporal::Interval& interval,
+                              double confidence) {
+  const size_t ci = num_facts_ >> kChunkShift;
   FactChunk* chunk;
   if (ci == chunks_.size()) {
     chunks_.push_back(std::make_shared<FactChunk>());
@@ -130,14 +114,28 @@ Result<FactId> TemporalGraph::Add(const TemporalFact& fact) {
   } else {
     chunk = MutableChunk(ci);
   }
-  chunk->subject.push_back(fact.subject);
-  chunk->predicate.push_back(fact.predicate);
-  chunk->object.push_back(fact.object);
-  chunk->interval.push_back(fact.interval);
-  chunk->confidence.push_back(fact.confidence);
+  chunk->subject.push_back(subject);
+  chunk->predicate.push_back(predicate);
+  chunk->object.push_back(object);
+  chunk->interval.push_back(interval);
+  chunk->confidence.push_back(confidence);
   chunk->dead.push_back(0);
   if (chunk->size() == kChunkSize) chunk->BuildIndex();
   ++num_facts_;
+}
+
+Result<FactId> TemporalGraph::Add(const TemporalFact& fact) {
+  if (fact.confidence <= 0.0 || fact.confidence > 1.0) {
+    return Status::InvalidArgument(
+        StringPrintf("confidence must be in (0,1], got %g", fact.confidence));
+  }
+  if (fact.subject == kInvalidTermId || fact.predicate == kInvalidTermId ||
+      fact.object == kInvalidTermId) {
+    return Status::InvalidArgument("fact references an invalid term id");
+  }
+  const FactId id = static_cast<FactId>(num_facts_);
+  AppendRow(fact.subject, fact.predicate, fact.object, fact.interval,
+            fact.confidence);
   ++num_live_;
   ++edit_epoch_;
   size_t& live = pred_live_counts_[fact.predicate];
@@ -375,34 +373,19 @@ TemporalGraph TemporalGraph::Filter(const std::vector<bool>& keep) const {
     return mapped;
   };
   std::vector<size_t> pred_counts;  // by output term id
-  FactChunk* chunk = nullptr;
   for (size_t ci = 0; ci < chunks_.size(); ++ci) {
     const FactChunk& src = *chunks_[ci];
     const size_t base = ci << kChunkShift;
     for (size_t l = 0; l < src.size(); ++l) {
       const size_t id = base + l;
       if (src.dead[l] != 0 || id >= keep.size() || !keep[id]) continue;
-      if (chunk == nullptr || chunk->size() == kChunkSize) {
-        out.chunks_.push_back(std::make_shared<FactChunk>());
-        chunk = out.chunks_.back().get();
-        chunk->subject.reserve(kChunkSize);
-        chunk->predicate.reserve(kChunkSize);
-        chunk->object.reserve(kChunkSize);
-        chunk->interval.reserve(kChunkSize);
-        chunk->confidence.reserve(kChunkSize);
-        chunk->dead.reserve(kChunkSize);
-      }
-      chunk->subject.push_back(map_term(src.subject[l]));
+      const TermId subject = map_term(src.subject[l]);
       const TermId predicate = map_term(src.predicate[l]);
-      chunk->predicate.push_back(predicate);
-      chunk->object.push_back(map_term(src.object[l]));
-      chunk->interval.push_back(src.interval[l]);
-      chunk->confidence.push_back(src.confidence[l]);
-      chunk->dead.push_back(0);
-      if (chunk->size() == kChunkSize) chunk->BuildIndex();
+      const TermId object = map_term(src.object[l]);
+      out.AppendRow(subject, predicate, object, src.interval[l],
+                    src.confidence[l]);
       if (predicate >= pred_counts.size()) pred_counts.resize(predicate + 1, 0);
       ++pred_counts[predicate];
-      ++out.num_facts_;
     }
   }
   // The bookkeeping Add keeps per row, settled once.

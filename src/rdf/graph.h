@@ -250,6 +250,12 @@ class TemporalGraph {
   /// is shared with another version (the COW step).
   FactChunk* MutableChunk(size_t ci);
 
+  /// Append one live row as fact num_facts_: a new chunk when the last one
+  /// is full, the six columns, and the chunk's postings once it fills.
+  /// Liveness and per-predicate bookkeeping is the caller's.
+  void AppendRow(TermId subject, TermId predicate, TermId object,
+                 const temporal::Interval& interval, double confidence);
+
   /// Interval tree for `predicate`, building and caching it if absent.
   /// Returns nullptr when the predicate has no live facts. Thread-safe.
   std::shared_ptr<const temporal::IntervalTree> EnsureTree(

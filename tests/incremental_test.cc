@@ -283,12 +283,17 @@ TEST(IncrementalResolve, PureInsertionFastPathIsBitIdentical) {
   core::IncrementalResolver resolver(&kg.graph, rules,
                                      core::ResolveOptions());
   ASSERT_TRUE(resolver.Initialize().ok());
+  const int kFans = 3000;
+  const int kPairs = 20;
 
   Rng rng(99);
-  for (int batch = 0; batch < 7; ++batch) {
+  for (int batch = 0; batch < 8; ++batch) {
     SCOPED_TRACE(batch);
-    std::vector<core::GraphEdit> edits =
-        RandomBatch(&kg.graph, &rng, /*inserts=*/4, /*retracts=*/0);
+    const size_t components_before = resolver.components().size();
+    std::vector<core::GraphEdit> edits;
+    if (batch < 7) {
+      edits = RandomBatch(&kg.graph, &rng, /*inserts=*/4, /*retracts=*/0);
+    }
     if (batch < 3) {
       // Two overlapping spells of a newcomer conflict only with each other:
       // new components only, but the conflict clause lands inside the
@@ -303,7 +308,7 @@ TEST(IncrementalResolve, PureInsertionFastPathIsBitIdentical) {
             temporal::Interval(2000 + team, 2005 + team), 0.7);
         edits.push_back(edit);
       }
-    } else {
+    } else if (batch < 7) {
       // A spell spanning a generated player's whole career conflicts with
       // each of the player's spells: the insert merges several carried
       // components into one and renumbers every component after them —
@@ -311,15 +316,47 @@ TEST(IncrementalResolve, PureInsertionFastPathIsBitIdentical) {
       core::GraphEdit edit;
       edit.kind = core::GraphEdit::Kind::kInsert;
       edit.fact = rdf::TemporalFact(
-          kg.graph.dict().InternIri(StringPrintf("Player%05d", 30 * batch - 80)),
+          kg.graph.dict().InternIri(
+              StringPrintf("Player%05d", 30 * batch - 80)),
           kg.graph.dict().InternIri("playsFor"),
           kg.graph.dict().InternIri(StringPrintf("WideTeam%d", batch)),
           temporal::Interval(1960, 2020), 0.4);
       edits.push_back(edit);
+    } else {
+      // One batch of a few thousand facts: mostly a predicate no rule
+      // reads (one-atom components), plus newcomer pairs (two-atom
+      // components). None reaches a carried component and all sort after
+      // them, so the partition appends them in one pass over the batch.
+      core::GraphEdit edit;
+      edit.kind = core::GraphEdit::Kind::kInsert;
+      for (int fan = 0; fan < kFans; ++fan) {
+        const int64_t begin = 1980 + static_cast<int64_t>(rng.Uniform(30));
+        edit.fact = rdf::TemporalFact(
+            kg.graph.dict().InternIri(StringPrintf("Fan%04d", fan)),
+            kg.graph.dict().InternIri("hobby"),
+            kg.graph.dict().InternIri(StringPrintf("Hobby%d", fan % 50)),
+            temporal::Interval(begin, begin + 3),
+            0.05 + 0.9 * (static_cast<double>(rng.Next() >> 11) * 0x1.0p-53));
+        edits.push_back(edit);
+      }
+      for (int pair = 0; pair < kPairs; ++pair) {
+        for (int team = 0; team < 2; ++team) {
+          edit.fact = rdf::TemporalFact(
+              kg.graph.dict().InternIri(StringPrintf("Latecomer%02d", pair)),
+              kg.graph.dict().InternIri("playsFor"),
+              kg.graph.dict().InternIri(StringPrintf("NewTeam%d", team)),
+              temporal::Interval(2000 + team, 2005 + team), 0.7);
+          edits.push_back(edit);
+        }
+      }
     }
     auto result = resolver.ApplyEdits(edits);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_TRUE(resolver.last_update_stats().fast_path);
+    if (batch == 7) {
+      EXPECT_EQ(resolver.components().size(),
+                components_before + kFans + kPairs);
+    }
     ExpectPartitionCarriedExactly(resolver);
     core::ResolveResult scratch =
         ScratchResolve(kg.graph, rules, core::ResolveOptions());
@@ -410,7 +447,8 @@ TEST(IncrementalResolve, FastPathWithDerivedBlockMatchesFromScratch) {
       for (size_t i = 0; i < count; ++i) {
         const int64_t begin = 1980 + static_cast<int64_t>(rng.Uniform(30));
         edit.fact = rdf::TemporalFact(
-            graph0.dict().InternIri("player" + std::to_string(rng.Uniform(100))),
+            graph0.dict().InternIri("player" +
+                                    std::to_string(rng.Uniform(100))),
             graph0.dict().InternIri("hobby"),
             graph0.dict().InternIri("hobby" + std::to_string(step) + "_" +
                                     std::to_string(i)),
