@@ -3,7 +3,8 @@
 // decomposition at solve time.
 //
 // `--json out.json` additionally writes the measurements machine-readably
-// (see util/bench_json.h) so successive PRs can track the perf trajectory.
+// (see util/bench_json.h), each record stamped with `hw_threads`, so
+// successive changes can track the perf trajectory.
 
 #include <cstdio>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -48,6 +50,7 @@ int main(int argc, char** argv) {
     }
   }
   BenchJson json("bench_grounding");
+  const double hw_threads = util::HardwareThreads();
 
   std::printf("=== A3: grounding & decomposition ablation ===\n\n");
 
@@ -92,6 +95,7 @@ int main(int argc, char** argv) {
                         StringPrintf("%.2fx", naive / delta),
                         match ? "yes" : "NO"});
     json.NewRecord(StringPrintf("seminaive/players=%zu", players));
+    json.Metric("hw_threads", hw_threads);
     json.Metric("naive_ms", naive);
     json.Metric("seminaive_ms", delta);
     json.Metric("speedup", naive / delta);
@@ -144,6 +148,7 @@ int main(int argc, char** argv) {
                          StringPrintf("%.2fx", late / early),
                          clauses_early == clauses_late ? "yes" : "NO"});
     json.NewRecord(StringPrintf("conditions/players=%zu", players));
+    json.Metric("hw_threads", hw_threads);
     json.Metric("early_ms", early);
     json.Metric("late_ms", late);
     json.Metric("speedup", late / early);
@@ -151,52 +156,6 @@ int main(int argc, char** argv) {
   std::printf("%s\n", ground_table.ToAscii().c_str());
   std::printf("shape (early evaluation prunes the join, same output): %s\n\n",
               clauses_match ? "MATCH" : "MISMATCH");
-
-  // --------------------------------------------- ground-thread scaling
-  // The per-rule semi-naive passes of each fixpoint round run on the
-  // thread pool against a frozen snapshot and merge deterministically, so
-  // the network must be identical at every thread count; the wall time is
-  // what scales (flat on a 1-core container — see docs/benchmarks.md).
-  Table scale_table(
-      {"ground threads", "time ms", "speedup", "network (equal)"});
-  {
-    rules::RuleSet scaling_rules = *constraints;
-    scaling_rules.Merge(*inference);
-    datagen::FootballDbOptions gen_scale;
-    gen_scale.num_players = 2000;
-    double base_ms = 0.0;
-    size_t base_atoms = 0, base_clauses = 0;
-    bool scale_match = true;
-    for (int threads : {1, 2, 4}) {
-      datagen::GeneratedKg kg = datagen::GenerateFootballDb(gen_scale);
-      ground::GroundingOptions options;
-      options.num_threads = threads;
-      size_t atoms = 0, clauses = 0;
-      const double ms =
-          GroundOnce(&kg, scaling_rules, options, &atoms, &clauses);
-      if (ms < 0) return 1;
-      if (threads == 1) {
-        base_ms = ms;
-        base_atoms = atoms;
-        base_clauses = clauses;
-      }
-      const bool match = atoms == base_atoms && clauses == base_clauses;
-      scale_match = scale_match && match;
-      scale_table.AddRow({std::to_string(threads), StringPrintf("%.1f", ms),
-                          StringPrintf("%.2fx", base_ms / ms),
-                          match ? "yes" : "NO"});
-      json.NewRecord(StringPrintf("ground_threads/threads=%d", threads));
-      json.Metric("threads", static_cast<double>(threads));
-      json.Metric("time_ms", ms);
-      json.Metric("speedup_vs_1t", base_ms / ms);
-      json.Metric("atoms", static_cast<double>(atoms));
-      json.Metric("clauses", static_cast<double>(clauses));
-    }
-    std::printf("%s\n", scale_table.ToAscii().c_str());
-    std::printf("shape (parallel grounding, identical network): %s\n\n",
-                scale_match ? "MATCH" : "MISMATCH");
-    if (!scale_match) return 1;
-  }
 
   // Component decomposition: exact MAP per component (provably optimal)
   // vs one monolithic branch & bound under a node budget.
@@ -230,6 +189,7 @@ int main(int argc, char** argv) {
                         std::to_string(solution->num_components)});
     json.NewRecord(use_components ? "solve/per-component"
                                   : "solve/monolithic");
+    json.Metric("hw_threads", hw_threads);
     json.Metric("time_ms", ms);
     json.Metric("objective", solution->objective);
     json.Metric("components", static_cast<double>(solution->num_components));

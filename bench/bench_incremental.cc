@@ -117,10 +117,10 @@ std::vector<std::string> ObjectsOf(const rdf::TemporalGraph& graph,
 }
 
 /// The service's interactive edit: single `locatedIn` inserts under the
-/// constraint rules (which never read `locatedIn`), re-solved on one
-/// thread. Every edit takes the grounding fast path; the record splits the
-/// edit into delta grounding, fast-path placement ("rebuild_ms"), solve,
-/// and assembly (partition update, kept/removed, output graph).
+/// constraint rules (which never read `locatedIn`). Every edit takes the
+/// grounding fast path; the record splits the edit into delta grounding,
+/// fast-path placement ("rebuild_ms"), solve, and assembly (partition
+/// update, kept/removed, output graph).
 bool RunRelocations(size_t players, int edits, BenchJson* json) {
   auto rules = rules::FootballConstraints();
   if (!rules.ok()) return false;
@@ -131,9 +131,7 @@ bool RunRelocations(size_t players, int edits, BenchJson* json) {
   const std::vector<std::string> cities = ObjectsOf(kg.graph, "locatedIn");
   if (teams.empty() || cities.empty()) return false;
 
-  core::ResolveOptions options;
-  options.num_threads = 1;
-  options.ground_threads = 1;
+  const core::ResolveOptions options;
   core::IncrementalResolver incremental(&kg.graph, *rules, options);
   if (!incremental.Initialize().ok()) return false;
 
@@ -177,7 +175,7 @@ bool RunRelocations(size_t players, int edits, BenchJson* json) {
   const bool match = full->objective == objective;
 
   const double n = static_cast<double>(edits);
-  std::printf("relocation inserts (%d, one thread): p50 %.3f ms = ground "
+  std::printf("relocation inserts (%d): p50 %.3f ms = ground "
               "%.3f + place %.3f + solve %.3f + assemble %.3f; fast path "
               "%zu/%d; full pipeline %.1f ms; objective %s\n\n",
               edits, Median(total_ms), Median(ground_ms), Median(place_ms),

@@ -26,13 +26,12 @@
 
 #include "core/resolver.h"
 #include "datagen/generators.h"
-#include "ground/grounder.h"
 #include "mln/solver.h"
-#include "psl/solver.h"
 #include "rules/library.h"
 #include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -109,6 +108,7 @@ int main(int argc, char** argv) {
     }
   }
   BenchJson json("bench_map_runtime");
+  const double hw_threads = util::HardwareThreads();
 
   auto constraints = rules::FootballConstraints();
   auto inference = rules::FootballInferenceRules();
@@ -145,60 +145,13 @@ int main(int argc, char** argv) {
               "ADMM here — an improvement over the paper's stack; the\n"
               "paper's ordering appears in the coupled setting below.\n\n");
   json.NewRecord("decoupled/mln");
+  json.Metric("hw_threads", hw_threads);
   json.Metric("mean_ms", mln_a.mean_ms);
   json.Metric("objective", mln_a.objective);
   json.NewRecord("decoupled/psl");
+  json.Metric("hw_threads", hw_threads);
   json.Metric("mean_ms", psl_a.mean_ms);
   json.Metric("objective", psl_a.objective);
-
-  // ------------------------------------------------- (a') thread scaling
-  // Per-component solving is embarrassingly parallel; measure the solve
-  // stage alone (grounding excluded) for 1/2/4 executors. The merged
-  // objective must be identical for every thread count (determinism).
-  {
-    std::printf("=== E3(a'): per-component solve, thread scaling ===\n\n");
-    datagen::FootballDbOptions gen;
-    gen.num_players = 6500;
-    datagen::GeneratedKg kg = datagen::GenerateFootballDb(gen);
-    ground::Grounder grounder(&kg.graph, *constraints);
-    auto grounding = grounder.Run();
-    if (!grounding.ok()) return 1;
-    Table scale_table({"threads", "mln solve ms", "psl solve ms",
-                       "objective (equal)"});
-    double base_objective = 0.0;
-    bool objectives_match = true;
-    for (int threads : {1, 2, 4}) {
-      mln::MlnSolverOptions mln_options;
-      mln_options.num_threads = threads;
-      Timer mln_timer;
-      mln::MlnMapSolver mln_solver(grounding->network, mln_options);
-      auto mln_solution = mln_solver.Solve();
-      if (!mln_solution.ok()) return 1;
-      const double mln_ms = mln_timer.ElapsedMillis();
-      psl::PslSolverOptions psl_options;
-      psl_options.num_threads = threads;
-      Timer psl_timer;
-      psl::PslSolver psl_solver(grounding->network, psl_options);
-      auto psl_solution = psl_solver.Solve();
-      if (!psl_solution.ok()) return 1;
-      const double psl_ms = psl_timer.ElapsedMillis();
-      if (threads == 1) base_objective = mln_solution->objective;
-      const bool match = mln_solution->objective == base_objective;
-      objectives_match = objectives_match && match;
-      scale_table.AddRow({std::to_string(threads),
-                          StringPrintf("%.0f", mln_ms),
-                          StringPrintf("%.0f", psl_ms),
-                          match ? "yes" : "NO"});
-      json.NewRecord(StringPrintf("scaling/threads=%d", threads));
-      json.Metric("mln_solve_ms", mln_ms);
-      json.Metric("psl_solve_ms", psl_ms);
-      json.Metric("objective", mln_solution->objective);
-    }
-    std::printf("%s\n", scale_table.ToAscii().c_str());
-    std::printf("shape (identical objective for all thread counts): %s\n\n",
-                objectives_match ? "MATCH" : "MISMATCH");
-    if (!objectives_match) return 1;
-  }
 
   // ---------------------------------------------------------------- (b)
   std::printf("=== E3(b): MAP runtime, F ∪ C (livesIn couples players) ===\n");
@@ -226,6 +179,7 @@ int main(int argc, char** argv) {
                     StringPrintf("%.0f", psl_b.mean_ms),
                     StringPrintf("%.2fx", ratio)});
     json.NewRecord(StringPrintf("coupled/players=%zu", players));
+    json.Metric("hw_threads", hw_threads);
     json.Metric("mln_ms", mln_b.mean_ms);
     json.Metric("psl_ms", psl_b.mean_ms);
     json.Metric("ratio", ratio);

@@ -3,13 +3,11 @@
 // Measures the new src/mine/ pass at several KB sizes: mining wall time,
 // candidates considered vs rules emitted, and whether the noisy
 // `playsFor` disjointness the generator plants ranks first by support.
-// Also times the chunked parallel .tq load (rdf::ParseOptions) against
-// the serial parser, and asserts the two determinism contracts this PR
-// ships: the mined `.tcr` document and the serialized graph are
-// byte-identical at 1, 2 and 4 threads.
+// Also times the .tq load, and asserts the miner's determinism contract:
+// the mined `.tcr` document is byte-identical at 1, 2 and 4 threads.
 //
-// `--json out.json` writes the measurements (BENCH_mining.json);
-// `--smoke` shrinks the workload for CI.
+// `--json out.json` writes the measurements (BENCH_mining.json, every
+// record with `hw_threads`); `--smoke` shrinks the workload for CI.
 
 #include <cstdio>
 #include <cstring>
@@ -22,6 +20,7 @@
 #include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace tecore;  // NOLINT
@@ -48,8 +47,9 @@ int main(int argc, char** argv) {
       smoke ? std::vector<size_t>{500, 2000}
             : std::vector<size_t>{2000, 6500, 20000};
   BenchJson json("mining");
-  Table table({"players", "facts", "load ms", "par load ms", "mine ms",
-               "considered", "emitted", "top rule", "deterministic"});
+  const double hw_threads = util::HardwareThreads();
+  Table table({"players", "facts", "load ms", "mine ms", "considered",
+               "emitted", "top rule", "deterministic"});
   bool shape_ok = true;
 
   for (size_t players : sizes) {
@@ -67,20 +67,6 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // Parallel load: same input, chunked. On a 1-core CI box the time is
-    // flat; the byte-identity assertion below is the point.
-    rdf::ParseOptions par;
-    par.num_threads = 4;
-    Timer par_timer;
-    auto parallel = rdf::ParseGraphText(text, par);
-    const double par_ms = par_timer.ElapsedMillis();
-    if (!parallel.ok()) {
-      std::fprintf(stderr, "%s\n", parallel.status().ToString().c_str());
-      return 1;
-    }
-    const bool load_identical =
-        rdf::WriteGraphText(*serial) == rdf::WriteGraphText(*parallel);
-
     mine::MiningOptions options;
     Timer mine_timer;
     const mine::MiningReport report = mine::Miner(options).Mine(*serial);
@@ -89,35 +75,31 @@ int main(int argc, char** argv) {
         mine::WriteMinedRulesText(report, options);
 
     // Determinism: mined document byte-identical at 1, 2 and 4 threads.
-    bool mine_identical = true;
+    bool deterministic = true;
     for (int threads : {2, 4}) {
       mine::MiningOptions threaded = options;
       threaded.num_threads = threads;
-      const mine::MiningReport again =
-          mine::Miner(threaded).Mine(*parallel);
-      mine_identical = mine_identical &&
-                       mine::WriteMinedRulesText(again, threaded) ==
-                           canonical;
+      const mine::MiningReport again = mine::Miner(threaded).Mine(*serial);
+      deterministic = deterministic &&
+                      mine::WriteMinedRulesText(again, threaded) == canonical;
     }
 
     const std::string top_rule =
         report.rules.empty() ? "(none)" : report.rules.front().rule.name;
     const bool top_is_disjoint = top_rule == "disjoint_playsFor";
-    const bool deterministic = load_identical && mine_identical;
     shape_ok = shape_ok && deterministic && top_is_disjoint;
 
     table.AddRow({std::to_string(players),
                   std::to_string(serial->NumLiveFacts()),
                   StringPrintf("%.1f", serial_ms),
-                  StringPrintf("%.1f", par_ms),
                   StringPrintf("%.1f", mine_ms),
                   std::to_string(report.patterns_considered),
                   std::to_string(report.rules.size()), top_rule,
                   deterministic ? "yes" : "NO"});
     json.NewRecord(StringPrintf("mine/players=%zu", players));
+    json.Metric("hw_threads", hw_threads);
     json.Metric("facts", static_cast<double>(serial->NumLiveFacts()));
     json.Metric("load_serial_ms", serial_ms);
-    json.Metric("load_parallel_ms", par_ms);
     json.Metric("mine_ms", mine_ms);
     json.Metric("patterns_considered",
                 static_cast<double>(report.patterns_considered));

@@ -15,7 +15,7 @@ fi
 # tecore-cli with no arguments prints usage to stderr and exits 2.
 USAGE="$("$CLI" 2>&1)"
 
-FLAGS=(--graph --rules --solver --threshold --threads --ground-threads
+FLAGS=(--graph --rules --solver --threshold --threads
        --edits --out --dataset --size --prefix --version --host --port
        --kb --auth-token-file --data-dir --fsync --max-body-bytes --retain
        --kb-tokens-file --access-log

@@ -14,9 +14,8 @@ namespace api {
 
 namespace {
 
-/// Result-relevant equality of grounding options (thread counts excluded:
-/// detection output is thread-count-independent by contract). Gate for the
-/// snapshot's compute-once conflict cache.
+/// Result-relevant equality of grounding options. Gate for the snapshot's
+/// compute-once conflict cache.
 bool SameDetectConfig(const ground::GroundingOptions& a,
                       const ground::GroundingOptions& b) {
   return a.max_rounds == b.max_rounds && a.max_atoms == b.max_atoms &&
@@ -25,8 +24,7 @@ bool SameDetectConfig(const ground::GroundingOptions& a,
          a.add_evidence_priors == b.add_evidence_priors &&
          a.fact_weighting == b.fact_weighting &&
          a.evaluate_conditions_early == b.evaluate_conditions_early &&
-         a.semi_naive == b.semi_naive &&
-         a.canonical_network == b.canonical_network;
+         a.semi_naive == b.semi_naive;
 }
 
 /// Lexical names of every predicate mentioned by a rule atom (bodies and
@@ -542,8 +540,9 @@ Result<EditOutcome> Engine::ApplyEditScript(
     std::string_view script, const core::ResolveOptions& options) {
   util::MutexLock lock(writer_mutex_);
   if (!graph_.has_value()) return Status::InvalidArgument("no graph loaded");
-  // Interns new terms into the master dictionary; published snapshots own
-  // cloned dictionaries, so readers never observe the interning.
+  // Interns new terms into the master dictionary. Published snapshots
+  // share that dictionary; it is append-only and interns concurrently, so
+  // ids readers already hold never change.
   TECORE_ASSIGN_OR_RETURN(edits, core::ParseEditScript(script, &*graph_));
   return ApplyEditsLocked(edits, options);
 }

@@ -155,8 +155,8 @@ struct EditOutcome {
 ///
 /// Determinism: `ApplyEdits` goes through core::IncrementalResolver, so
 /// every published result is bit-identical to a from-scratch resolve of
-/// the edited KB (at any thread count) — the PR 3 contract, now extended
-/// to concurrent service traffic.
+/// the edited KB — the determinism contract, extended to concurrent
+/// service traffic.
 class Engine {
  public:
   struct Options {

@@ -39,8 +39,8 @@ namespace api {
 ///    end-of-stream signal instead of waiting on a zombie.
 ///
 /// The shared pool is the service-wide worker budget (HTTP connection
-/// workers for every tenant); per-request solver parallelism stays
-/// governed by ResolveOptions as before. One pool for N tenants is the
+/// workers for every tenant); each request's parse, grounding and solve
+/// run on the worker that serves it. One pool for N tenants is the
 /// point: creating a KB must not spawn threads.
 class EngineRegistry {
  public:

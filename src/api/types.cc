@@ -30,10 +30,6 @@ Result<SolveRequest> SolveRequest::FromJson(const Json& json) {
   }
   req.options.derived_threshold =
       json.GetNumber("threshold", req.options.derived_threshold);
-  req.options.num_threads = static_cast<int>(
-      json.GetInt("threads", req.options.num_threads));
-  req.options.ground_threads = static_cast<int>(
-      json.GetInt("ground_threads", req.options.ground_threads));
   const int64_t max_facts =
       json.GetInt("max_facts", static_cast<int64_t>(req.max_facts));
   if (max_facts < 0) {

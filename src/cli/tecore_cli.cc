@@ -9,12 +9,12 @@
 //   tecore-cli validate --rules r.tcr --solver psl
 //   tecore-cli detect   --graph g.tq --rules r.tcr
 //   tecore-cli solve    --graph g.tq --rules r.tcr --solver mln
-//                       [--threshold 0.5] [--threads N] [--out repaired.tq]
+//                       [--threshold 0.5] [--out repaired.tq]
 //                       [--edits script.tq]
 //   tecore-cli mine     --graph g.tq [--out rules.tcr] [--min-support N]
 //                       [--min-confidence X] [--max-patterns N] [--threads N]
 //   tecore-cli gen      --dataset football|wikidata|example --out g.tq [--size N]
-//   tecore-cli serve    [--port 8080] [--kb name] [--graph g.tq]
+//   tecore-cli serve    [--port 8080] [--threads N] [--kb name] [--graph g.tq]
 //                       [--rules r.tcr] [--auth-token-file f]
 //                       [--data-dir d] [--fsync always|never]
 //   tecore-cli kb verify --data-dir d [--kb name]
@@ -71,9 +71,9 @@ int Usage() {
                "<stats|complete|suggest|mine|validate|detect|solve|gen|serve"
                "|kb|version>\n"
                "                  [--graph f] [--rules f] [--solver mln|psl]"
-               " [--threshold x] [--threads n]\n"
-               "                  [--ground-threads n] [--edits f] [--out f]"
-               " [--dataset d] [--size n] [--prefix p]\n"
+               " [--threshold x] [--edits f]\n"
+               "                  [--out f] [--dataset d] [--size n]"
+               " [--prefix p]\n"
                "  mine               mine temporal constraints from the KB"
                " itself and emit them as a\n"
                "                     weighted .tcr rule file (--graph g.tq"
@@ -82,22 +82,19 @@ int Usage() {
                " [--threads n]; docs/mining.md;\n"
                "                     output is byte-identical at every"
                " --threads value)\n"
-               "  --threads n        executors for per-component MAP solving"
-               " (0 = auto)\n"
-               "  --ground-threads n executors for the semi-naive grounding"
-               " passes (0 = auto)\n"
                "  --edits f          solve, then apply the edit script"
                " ('+ fact' inserts, '- fact' retracts)\n"
                "                     and re-solve incrementally (only dirty"
                " components are re-solved)\n"
-               "  results are bit-identical for every thread count and for"
-               " incremental vs full re-solve\n"
+               "  results are bit-identical for incremental vs full"
+               " re-solve\n"
                "  serve              start the multi-tenant /v1 JSON HTTP"
                " service ([--host h] [--port n]\n"
-               "                     [--kb name] [--auth-token-file f]"
-               " [--kb-tokens-file f] [--data-dir d]\n"
-               "                     [--fsync always|never]"
-               " [--max-body-bytes n] [--retain n]\n"
+               "                     [--threads n] [--kb name]"
+               " [--auth-token-file f]\n"
+               "                     [--kb-tokens-file f] [--data-dir d]"
+               " [--fsync always|never]\n"
+               "                     [--max-body-bytes n] [--retain n]\n"
                "                     [--access-log[=f]];"
                " docs/api.md, docs/observability.md)\n"
                "  kb verify          check a --data-dir store offline:"
@@ -368,12 +365,7 @@ int main(int argc, char** argv) {
                    flags["threads"].c_str());
       return 2;
     }
-    // The same thread budget drives the chunked parallel load; both are
-    // deterministic, so the emitted document is byte-identical at any
-    // --threads value.
-    rdf::ParseOptions parse_options;
-    parse_options.num_threads = options.num_threads;
-    auto graph = rdf::LoadGraphFile(graph_it->second, parse_options);
+    auto graph = rdf::LoadGraphFile(graph_it->second);
     if (!graph.ok()) {
       std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
       return 1;
@@ -436,8 +428,7 @@ int main(int argc, char** argv) {
   }
 
   if (command == "detect") {
-    if (!ParseFlags(argc, argv, 2, {"graph", "rules", "ground-threads"},
-                    &flags)) {
+    if (!ParseFlags(argc, argv, 2, {"graph", "rules"}, &flags)) {
       return Usage();
     }
     Status st = LoadInputs(flags, &session, /*need_rules=*/true);
@@ -445,14 +436,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    ground::GroundingOptions grounding;
-    if (flags.count("ground-threads") &&
-        !ParseIntFlag(flags["ground-threads"], &grounding.num_threads)) {
-      std::fprintf(stderr, "invalid --ground-threads value '%s'\n",
-                   flags["ground-threads"].c_str());
-      return 2;
-    }
-    auto report = session.DetectConflicts(grounding);
+    auto report = session.DetectConflicts();
     if (!report.ok()) {
       std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
       return 1;
@@ -463,8 +447,7 @@ int main(int argc, char** argv) {
 
   if (command == "solve") {
     if (!ParseFlags(argc, argv, 2,
-                    {"graph", "rules", "solver", "threshold", "threads",
-                     "ground-threads", "edits", "out"},
+                    {"graph", "rules", "solver", "threshold", "edits", "out"},
                     &flags)) {
       return Usage();
     }
@@ -479,18 +462,6 @@ int main(int argc, char** argv) {
     }
     if (flags.count("threshold")) {
       options.derived_threshold = std::stod(flags["threshold"]);
-    }
-    if (flags.count("threads") &&
-        !ParseIntFlag(flags["threads"], &options.num_threads)) {
-      std::fprintf(stderr, "invalid --threads value '%s'\n",
-                   flags["threads"].c_str());
-      return 2;
-    }
-    if (flags.count("ground-threads") &&
-        !ParseIntFlag(flags["ground-threads"], &options.ground_threads)) {
-      std::fprintf(stderr, "invalid --ground-threads value '%s'\n",
-                   flags["ground-threads"].c_str());
-      return 2;
     }
     auto run = [&]() -> Result<core::ResolveResult> {
       if (!flags.count("edits")) return session.Resolve(options);

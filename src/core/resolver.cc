@@ -19,15 +19,6 @@ bool UsesComponents(const ResolveOptions& options) {
              : options.psl.use_components;
 }
 
-ground::GroundingOptions EffectiveGrounding(const ResolveOptions& options) {
-  ground::GroundingOptions grounding = options.grounding;
-  // 0 means "inherit": keep a directly-set grounding option.
-  if (options.ground_threads != 0) {
-    grounding.num_threads = options.ground_threads;
-  }
-  return grounding;
-}
-
 /// MAP inference + mapping the state back to facts: the assembly shared by
 /// the from-scratch pipeline (Resolver::Run, which starts from an empty
 /// partition) and the incremental one (IncrementalResolver, which carries
@@ -47,12 +38,7 @@ Result<ResolveResult> SolveAndAssemble(
   std::vector<bool> values;
   std::vector<double> soft_truth;  // PSL only
   if (options.solver == rules::SolverKind::kMln) {
-    mln::MlnSolverOptions mln_options = options.mln;
-    // 0 means "inherit": keep a directly-set solver option.
-    if (options.num_threads != 0) {
-      mln_options.num_threads = options.num_threads;
-    }
-    mln::MlnMapSolver solver(net, mln_options);
+    mln::MlnMapSolver solver(net, options.mln);
     TECORE_ASSIGN_OR_RETURN(solution, solver.Solve(components));
     values = std::move(solution.atom_values);
     result.solver_name =
@@ -67,11 +53,7 @@ Result<ResolveResult> SolveAndAssemble(
     result.spliced_components = solution.reused_components;
     result.dirty_components = solution.solved_components;
   } else {
-    psl::PslSolverOptions psl_options = options.psl;
-    if (options.num_threads != 0) {
-      psl_options.num_threads = options.num_threads;
-    }
-    psl::PslSolver solver(net, psl_options);
+    psl::PslSolver solver(net, options.psl);
     TECORE_ASSIGN_OR_RETURN(solution, solver.Solve(components));
     values = std::move(solution.atom_values);
     soft_truth = std::move(solution.truth_values);
@@ -164,7 +146,7 @@ Result<ResolveResult> Resolver::Run() {
   Timer total_timer;
   TECORE_ASSIGN_OR_RETURN(
       translation, Translator::Translate(graph_, rules_, options_.solver,
-                                         EffectiveGrounding(options_)));
+                                         options_.grounding));
   const ground::GroundingResult& grounding = translation.grounding;
   ground::ComponentPartition components;
   if (UsesComponents(options_)) components.Build(grounding.network);
@@ -184,8 +166,7 @@ IncrementalResolver::IncrementalResolver(rdf::TemporalGraph* graph,
 Result<ResolveResult> IncrementalResolver::Initialize() {
   Timer total_timer;
   TECORE_RETURN_NOT_OK(rules::ValidateRuleSet(rules_, options_.solver));
-  ground::IncrementalGrounder grounder(graph_, rules_,
-                                      EffectiveGrounding(options_));
+  ground::IncrementalGrounder grounder(graph_, rules_, options_.grounding);
   TECORE_ASSIGN_OR_RETURN(stats, grounder.Initialize(&state_));
   components_ = ground::ComponentPartition();
   if (UsesComponents(options_)) components_.Build(state_.network);
@@ -210,8 +191,7 @@ Result<ResolveResult> IncrementalResolver::ApplyEdits(
   // while the network they describe is still at hand.
   if (uses_components) components_.IndexSignatures(state_.network);
   TECORE_RETURN_NOT_OK(ApplyGraphEdits(edits, graph_).status());
-  ground::IncrementalGrounder grounder(graph_, rules_,
-                                      EffectiveGrounding(options_));
+  ground::IncrementalGrounder grounder(graph_, rules_, options_.grounding);
   TECORE_ASSIGN_OR_RETURN(stats, grounder.Update(&state_));
   last_update_stats_ = stats;
   static const auto fast_total = obs::Registry::Default()->GetCounter(

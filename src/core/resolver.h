@@ -28,23 +28,12 @@ struct ResolveOptions {
   /// Derived facts with a confidence score below this are removed from the
   /// output graph (the paper's threshold feature); 0 keeps everything.
   double derived_threshold = 0.0;
-  /// Executors for per-component MAP solving, forwarded to the MLN/PSL
-  /// solver options: 0 = auto (hardware threads), 1 = sequential. Results
-  /// are deterministic for any value.
-  int num_threads = 0;
-  /// Executors for the semi-naive grounding passes, forwarded to
-  /// `grounding.num_threads` when nonzero (0 keeps a directly-set
-  /// grounding option, which itself defaults to auto). The ground network
-  /// is bit-identical for any value.
-  int ground_threads = 0;
 };
 
 /// \brief Result-relevant equality of resolve configurations: true when a
 /// result computed under `a` is reusable for a request under `b` (every
-/// knob that can change a solver's output is compared; thread counts are
-/// excluded on purpose — results are thread-count-independent by
-/// contract). Gates the incremental-state reuse in Session/Engine and the
-/// snapshot solve cache.
+/// knob that can change a solver's output is compared). Gates the
+/// incremental-state reuse in Session/Engine and the snapshot solve cache.
 bool SameResolveConfig(const ResolveOptions& a, const ResolveOptions& b);
 
 /// \brief A fact derived by the inference rules during MAP.
@@ -143,12 +132,12 @@ class Resolver {
 /// Determinism contract: every ApplyEdits() result — atom ids and clause
 /// layout of the maintained network, kept/removed fact sets, derived
 /// facts, and the objective — is bit-identical to a from-scratch
-/// Resolver::Run on the edited KB (at any thread count). The network
-/// canonicalization (GroundNetwork::Canonicalize) makes that an equality
-/// of bytes rather than an equivalence up to reordering, and the solvers
-/// reduce component outcomes in canonical component order (ascending
-/// lowest atom id), so carried and freshly solved outcomes sum exactly as
-/// a from-scratch solve does.
+/// Resolver::Run on the edited KB. The network canonicalization
+/// (GroundNetwork::Canonicalize) makes that an equality of bytes rather
+/// than an equivalence up to reordering, and the solvers reduce component
+/// outcomes in canonical component order (ascending lowest atom id), so
+/// carried and freshly solved outcomes sum exactly as a from-scratch solve
+/// does.
 ///
 /// The rule set must not change between calls; solver options are fixed at
 /// construction (callers wanting different options start a new instance).

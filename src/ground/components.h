@@ -148,8 +148,7 @@ class ComponentPartition {
   const ComponentOutcome& outcome(uint32_t c) const { return outcomes_[c]; }
   double atom_state(AtomId atom) const { return atom_state_[atom]; }
 
-  /// \brief Record a solved component. Solvers call these from pool
-  /// threads: distinct components touch disjoint elements.
+  /// \brief Record a solved component.
   void set_outcome(uint32_t c, const ComponentOutcome& outcome) {
     outcomes_[c] = outcome;
     solved_[c] = 1;

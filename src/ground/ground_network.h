@@ -159,8 +159,8 @@ class GroundNetwork {
   ///
   /// After this the network is a pure function of its *content* — the same
   /// atoms and clauses produce bit-identical layout no matter how they
-  /// were discovered (naive, semi-naive, parallel, or incremental
-  /// maintenance), which is what makes the incremental re-solve contract
+  /// were discovered (naive, semi-naive, or incremental maintenance),
+  /// which is what makes the incremental re-solve contract
   /// ("bit-identical to a from-scratch run") checkable as plain equality.
   /// Lexical keys (not term ids) keep the order independent of dictionary
   /// interning history. Requires the evidence atoms to form a prefix (the

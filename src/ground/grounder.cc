@@ -1,7 +1,6 @@
 #include "ground/grounder.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <unordered_set>
 
@@ -11,7 +10,6 @@
 #include "rules/validator.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace tecore {
@@ -112,33 +110,11 @@ struct PassContext {
   }
 };
 
-/// A head atom resolved during a parallel pass but not yet interned into
-/// the network (interning is deferred to the deterministic merge phase).
+/// A head atom resolved under a binding but not yet interned into the
+/// network (EvalHead resolves, ApplyGrounding interns).
 struct ResolvedQuad {
   rdf::TermId subject, predicate, object;
   temporal::Interval interval{0, 0};
-};
-
-/// One grounding produced by a parallel pass, replayed at merge time in
-/// exactly the order the sequential engine would have emitted it.
-struct PendingGrounding {
-  /// Matched body atoms (become negative literals).
-  std::vector<AtomId> matched;
-  /// Resolved head quads to intern (become positive literals).
-  std::vector<ResolvedQuad> heads;
-  /// False when a later head quad had an empty time intersection: the
-  /// sequential engine has already interned the earlier head atoms by that
-  /// point, so the merge must too, but the clause itself is dropped.
-  bool emit_clause = true;
-};
-
-/// Everything one parallel (rule, pass) task produces. Tasks only ever
-/// write their own PassOutput; the shared network stays frozen until the
-/// merge phase.
-struct PassOutput {
-  std::vector<PendingGrounding> pending;
-  size_t num_satisfied_heads = 0;
-  Status status = Status::OK();
 };
 
 /// The actual matcher; one instance per Run() call.
@@ -158,13 +134,11 @@ class GroundingEngine {
     SeedEvidence();
     TECORE_RETURN_NOT_OK(
         RunFixpoint(/*initial_delta_begin=*/0, /*fire_body_less=*/true));
-    if (options_.canonical_network) {
-      std::vector<AtomId> remap = net_->Canonicalize(graph_->dict());
-      if (collected_ != nullptr) {
-        for (StoredGrounding& grounding : *collected_) {
-          for (AtomId& atom : grounding.matched) atom = remap[atom];
-          for (AtomId& atom : grounding.heads) atom = remap[atom];
-        }
+    std::vector<AtomId> remap = net_->Canonicalize(graph_->dict());
+    if (collected_ != nullptr) {
+      for (StoredGrounding& grounding : *collected_) {
+        for (AtomId& atom : grounding.matched) atom = remap[atom];
+        for (AtomId& atom : grounding.heads) atom = remap[atom];
       }
     }
     if (options_.add_evidence_priors) {
@@ -217,30 +191,15 @@ class GroundingEngine {
   /// `fire_body_less` lets round 0 fire body-less rules (full runs only —
   /// an incremental delta must not re-fire them).
   Status RunFixpoint(AtomId initial_delta_begin, bool fire_body_less) {
-    // Parallel grounding applies to the semi-naive path only: its passes
-    // read a frozen snapshot of the round (atom ids below `round_limit`)
-    // and each grounding is derived exactly once, so pass outputs can be
-    // replayed in canonical order with no cross-pass dedup. The naive
-    // ablation path shares one dedup set across rules and stays sequential.
-    const int ground_threads = util::ResolveThreadCount(options_.num_threads);
-    const bool parallel = options_.semi_naive && ground_threads > 1;
-    std::unique_ptr<util::ThreadPool> pool;
-    if (parallel) pool = std::make_unique<util::ThreadPool>(ground_threads);
     AtomId delta_begin = initial_delta_begin;
     size_t prev_atoms = 0, prev_clauses = 0;
     for (int round = 0; round < options_.max_rounds; ++round) {
       result_->rounds = round + 1;
       const bool body_less_round = round == 0 && fire_body_less;
       const AtomId round_limit = static_cast<AtomId>(net_->NumAtoms());
-      if (parallel) {
-        TECORE_RETURN_NOT_OK(GroundRoundParallel(pool.get(), delta_begin,
-                                                 round_limit,
-                                                 body_less_round));
-      } else {
-        for (const CompiledRule& cr : compiled_) {
-          TECORE_RETURN_NOT_OK(
-              GroundRule(cr, delta_begin, round_limit, body_less_round));
-        }
+      for (const CompiledRule& cr : compiled_) {
+        TECORE_RETURN_NOT_OK(
+            GroundRule(cr, delta_begin, round_limit, body_less_round));
       }
       size_t atoms = net_->NumAtoms();
       size_t clauses = net_->NumClauses();
@@ -334,14 +293,13 @@ class GroundingEngine {
                     AtomId round_limit, bool first_round) {
     if (cr.body.empty()) {
       // Degenerate body-less rule: fires exactly once, in the first round.
-      if (first_round) return RunPass(cr, PassContext{}, /*body_less=*/true,
-                                      /*out=*/nullptr);
+      if (first_round) return RunPass(cr, PassContext{}, /*body_less=*/true);
       return Status::OK();
     }
     if (!options_.semi_naive) {
       PassContext ctx;
       ctx.semi_naive = false;
-      return RunPass(cr, ctx, /*body_less=*/false, /*out=*/nullptr);
+      return RunPass(cr, ctx, /*body_less=*/false);
     }
     // One pass per body position taking the frontier role. Round 0 has
     // old_end == 0, so only the d == 0 pass can match (later passes need a
@@ -354,81 +312,20 @@ class GroundingEngine {
       ctx.delta_pos = d;
       ctx.old_end = delta_begin;
       ctx.all_end = round_limit;
-      TECORE_RETURN_NOT_OK(RunPass(cr, ctx, /*body_less=*/false,
-                                   /*out=*/nullptr));
+      TECORE_RETURN_NOT_OK(RunPass(cr, ctx, /*body_less=*/false));
     }
     return Status::OK();
   }
 
   /// One matcher pass: fresh binding state, then the recursive body join.
-  /// With `out == nullptr` emissions go straight into the network (the
-  /// sequential path); otherwise they are collected into `out` for the
-  /// deterministic merge.
   Status RunPass(const CompiledRule& cr, const PassContext& ctx,
-                 bool body_less, PassOutput* out) {
+                 bool body_less) {
     Binding binding(cr.rule->vars);
     std::vector<AtomId> matched(cr.body.size(), 0);
     std::vector<bool> cond_done(cr.rule->conditions.size(), false);
-    if (body_less) return FinishMatch(cr, &binding, &matched, &cond_done, out);
+    if (body_less) return FinishMatch(cr, &binding, &matched, &cond_done);
     return MatchBody(cr, ctx, /*depth=*/0, /*matched_mask=*/0, &binding,
-                     &matched, &cond_done, out);
-  }
-
-  /// One parallel semi-naive round: enumerate the (rule, pass) tasks in
-  /// canonical order, run them concurrently against the frozen network
-  /// prefix [0, round_limit), then replay their emissions sequentially in
-  /// that same canonical order. Atom and clause interning happens only in
-  /// the replay, so ids come out exactly as in a sequential run.
-  Status GroundRoundParallel(util::ThreadPool* pool, AtomId delta_begin,
-                             AtomId round_limit, bool first_round) {
-    struct PassTask {
-      const CompiledRule* cr = nullptr;
-      PassContext ctx;
-      bool body_less = false;
-    };
-    std::vector<PassTask> tasks;
-    for (const CompiledRule& cr : compiled_) {
-      if (cr.body.empty()) {
-        if (first_round) {
-          PassTask task;
-          task.cr = &cr;
-          task.body_less = true;
-          tasks.push_back(task);
-        }
-        continue;
-      }
-      for (size_t d = 0; d < cr.body.size(); ++d) {
-        if (delta_begin >= round_limit) break;   // empty frontier
-        if (d > 0 && delta_begin == 0) break;    // empty old region
-        PassTask task;
-        task.cr = &cr;
-        task.ctx.semi_naive = true;
-        task.ctx.delta_pos = d;
-        task.ctx.old_end = delta_begin;
-        task.ctx.all_end = round_limit;
-        tasks.push_back(task);
-      }
-    }
-    std::vector<PassOutput> outputs(tasks.size());
-    pool->ParallelFor(tasks.size(), [&](size_t i) {
-      outputs[i].status = RunPass(*tasks[i].cr, tasks[i].ctx,
-                                  tasks[i].body_less, &outputs[i]);
-    });
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      TECORE_RETURN_NOT_OK(outputs[i].status);
-      MergeOutput(*tasks[i].cr, outputs[i]);
-    }
-    return Status::OK();
-  }
-
-  /// Replay one pass's collected groundings into the network; both
-  /// emission paths funnel through ApplyGrounding, so the mutation
-  /// sequence is the sequential one by construction.
-  void MergeOutput(const CompiledRule& cr, const PassOutput& out) {
-    result_->num_satisfied_heads += out.num_satisfied_heads;
-    for (const PendingGrounding& pg : out.pending) {
-      ApplyGrounding(cr, pg.matched, pg.heads, pg.emit_clause);
-    }
+                     &matched, &cond_done);
   }
 
   /// Resolve a compiled entity arg under the current binding.
@@ -529,10 +426,10 @@ class GroundingEngine {
 
   Status MatchBody(const CompiledRule& cr, const PassContext& ctx,
                    size_t depth, uint64_t matched_mask, Binding* binding,
-                   std::vector<AtomId>* matched, std::vector<bool>* cond_done,
-                   PassOutput* out) {
+                   std::vector<AtomId>* matched,
+                   std::vector<bool>* cond_done) {
     if (depth == cr.body.size()) {
-      return FinishMatch(cr, binding, matched, cond_done, out);
+      return FinishMatch(cr, binding, matched, cond_done);
     }
     CandidateView view;
     const size_t index = PickNext(cr, ctx, matched_mask, *binding, &view);
@@ -579,7 +476,7 @@ class GroundingEngine {
       }
       if (conditions_hold) {
         Status st = MatchBody(cr, ctx, depth + 1, next_mask, binding, matched,
-                              cond_done, out);
+                              cond_done);
         if (!st.ok()) return st;
       }
       for (size_t ci = 0; ci < cr.cond_vars.size(); ++ci) {
@@ -603,12 +500,12 @@ class GroundingEngine {
   /// late mode), then emit the grounding.
   Status FinishMatch(const CompiledRule& cr, Binding* binding,
                      std::vector<AtomId>* matched,
-                     std::vector<bool>* cond_done, PassOutput* out) {
+                     std::vector<bool>* cond_done) {
     for (size_t ci = 0; ci < cr.cond_vars.size(); ++ci) {
       if ((*cond_done)[ci]) continue;
       if (!EvalConditionAsFilter(cr, ci, *binding)) return Status::OK();
     }
-    return Emit(cr, *binding, *matched, out);
+    return Emit(cr, *binding, *matched);
   }
 
   static bool TryBindEntity(const CompiledArg& arg, rdf::TermId value,
@@ -647,7 +544,7 @@ class GroundingEngine {
     if (bound_t) binding->UnbindInterval(pattern.time_var);
   }
 
-  /// Shared head evaluation: resolve the rule head under `binding` without
+  /// Head evaluation: resolve the rule head under `binding` without
   /// touching the network. On return, `*satisfied` is true when an
   /// evaluable head held (grounding discharged, no clause); otherwise
   /// `heads` holds the resolved quads to intern, and `*emit_clause` is
@@ -698,9 +595,8 @@ class GroundingEngine {
   }
 
   /// Intern one grounding's head atoms, record its provenance, and add its
-  /// clause — the single network-mutation sequence shared by the
-  /// sequential path, the parallel merge, and the delta-grounding path
-  /// (which records but defers clause construction to the caller).
+  /// clause — the single network-mutation sequence of full and delta runs
+  /// (a delta run records but defers clause construction to the caller).
   void ApplyGrounding(const CompiledRule& cr,
                       const std::vector<AtomId>& matched,
                       const std::vector<ResolvedQuad>& heads,
@@ -736,12 +632,11 @@ class GroundingEngine {
   }
 
   Status Emit(const CompiledRule& cr, const Binding& binding,
-              const std::vector<AtomId>& matched, PassOutput* out) {
+              const std::vector<AtomId>& matched) {
     // Semi-naive passes derive each grounding exactly once (every tuple
     // has a unique first frontier position), so no dedup is needed. The
     // naive path re-matches everything every round and must dedup so
-    // counters and head evaluation fire once per distinct grounding
-    // (naive mode is always sequential, so `out` is null there).
+    // counters and head evaluation fire once per distinct grounding.
     if (!options_.semi_naive) {
       uint64_t h = 1469598103934665603ULL;
       auto mix = [&h](uint64_t v) {
@@ -752,29 +647,17 @@ class GroundingEngine {
       for (AtomId atom : matched) mix(atom + (1ULL << 33));
       if (!seen_groundings_.insert(h).second) return Status::OK();
     }
-    // Collect mode needs its own heads buffer (Emit runs concurrently);
-    // the sequential path reuses a scratch member to stay allocation-lean.
-    std::vector<ResolvedQuad> local_heads;
-    std::vector<ResolvedQuad>& heads =
-        out != nullptr ? local_heads : scratch_heads_;
     bool satisfied = false, emit_clause = true;
     TECORE_RETURN_NOT_OK(
-        EvalHead(cr, binding, &satisfied, &heads, &emit_clause));
+        EvalHead(cr, binding, &satisfied, &scratch_heads_, &emit_clause));
     if (satisfied) {
-      ++(out != nullptr ? out->num_satisfied_heads
-                        : result_->num_satisfied_heads);
+      ++result_->num_satisfied_heads;
       return Status::OK();  // grounding satisfied; no clause
     }
-    if (!emit_clause && heads.empty()) return Status::OK();  // fully vacuous
-    if (out != nullptr) {
-      PendingGrounding pg;
-      pg.matched = matched;
-      pg.heads = std::move(local_heads);
-      pg.emit_clause = emit_clause;
-      out->pending.push_back(std::move(pg));
-      return Status::OK();
+    if (!emit_clause && scratch_heads_.empty()) {
+      return Status::OK();  // fully vacuous
     }
-    ApplyGrounding(cr, matched, heads, emit_clause);
+    ApplyGrounding(cr, matched, scratch_heads_, emit_clause);
     return Status::OK();
   }
 
@@ -791,7 +674,7 @@ class GroundingEngine {
   bool add_clauses_ = true;
   std::vector<CompiledRule> compiled_;
   std::unordered_set<uint64_t> seen_groundings_;  // naive mode only
-  std::vector<ResolvedQuad> scratch_heads_;       // sequential Emit only
+  std::vector<ResolvedQuad> scratch_heads_;       // Emit's head buffer
 };
 
 }  // namespace

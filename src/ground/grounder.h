@@ -37,20 +37,6 @@ struct GroundingOptions {
   /// cross-round dedup set is needed. Disable only for the naive-vs-delta
   /// equivalence ablation; results are identical by construction.
   bool semi_naive = true;
-  /// Executors for the per-rule semi-naive passes of each fixpoint round:
-  /// 0 = auto (hardware threads), 1 = sequential. Passes match against a
-  /// frozen snapshot of the round's network and their emissions are merged
-  /// in canonical rule-then-pass-then-binding order, so the resulting
-  /// GroundNetwork is bit-identical (atom ids, clauses, weights) for every
-  /// thread count. Only the semi-naive path parallelizes; the naive
-  /// ablation path always runs sequentially.
-  int num_threads = 0;
-  /// Finish with GroundNetwork::Canonicalize: the network becomes a pure
-  /// function of its content, independent of discovery order. This is the
-  /// precondition of the incremental re-solve determinism contract (an
-  /// incrementally maintained network must be bit-identical to this one),
-  /// so it defaults to on; disable only for ordering-sensitive ablations.
-  bool canonical_network = true;
   /// Record every grounding (rule index, matched body atoms, interned head
   /// atoms) in GroundingResult::groundings — the provenance the
   /// incremental pipeline replays for DRed-style retraction.

@@ -40,9 +40,6 @@ Result<GroundingResult> IncrementalGrounder::Initialize(
     IncrementalGroundState* state) {
   GroundingOptions options = options_;
   options.collect_groundings = true;
-  // The canonical layout is the determinism contract's common currency;
-  // incremental maintenance cannot work against an uncanonical network.
-  options.canonical_network = true;
   Grounder grounder(graph_, rules_, options);
   TECORE_ASSIGN_OR_RETURN(result, grounder.Run());
   state->groundings = std::move(result.groundings);
@@ -71,9 +68,7 @@ Result<IncrementalUpdateStats> IncrementalGrounder::Update(
   }
 
   // ---- 1. Delta-ground the inserted facts against the maintained store.
-  GroundingOptions options = options_;
-  options.canonical_network = true;
-  Grounder grounder(graph_, rules_, options);
+  Grounder grounder(graph_, rules_, options_);
   TECORE_ASSIGN_OR_RETURN(
       delta, grounder.GroundDelta(&state->network, state->num_facts_seen));
   stats.rounds = delta.rounds;

@@ -5,7 +5,6 @@
 #include "mln/cutting_plane.h"
 #include "mln/translation.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace tecore {
@@ -88,14 +87,9 @@ Result<MlnSolution> MlnMapSolver::Solve(
     return solution;
   }
 
-  // Solve what has no outcome yet; never spawn more executors than there
-  // are components to solve.
+  // Solve what has no outcome yet.
   const std::vector<uint32_t> todo = components->Unsolved();
-  util::ThreadPool pool(static_cast<int>(
-      std::min<size_t>(util::ResolveThreadCount(options_.num_threads),
-                       std::max<size_t>(todo.size(), 1))));
-  pool.ParallelFor(todo.size(), [&](size_t i) {
-    const uint32_t c = todo[i];
+  for (const uint32_t c : todo) {
     const ground::IdSpan<ground::AtomId> atoms = components->atoms(c);
     maxsat::Wcnf wcnf =
         BuildComponentWcnf(network_, atoms, components->clauses(c));
@@ -112,7 +106,7 @@ Result<MlnSolution> MlnMapSolver::Solve(
           local < result.assignment.size() && result.assignment[local];
       components->set_atom_state(atoms[local], value ? 1.0 : 0.0);
     }
-  });
+  }
   solution.solved_components = todo.size();
   solution.reused_components = components->NumWithClauses() - todo.size();
 

@@ -40,11 +40,6 @@ struct MlnSolverOptions {
   /// Solve each connected component separately (A3 ablation toggle; the
   /// monolithic path is exponentially slower on anything non-trivial).
   bool use_components = true;
-  /// Executors for per-component solving: 0 = auto (hardware threads),
-  /// 1 = sequential. Components are independent by construction and every
-  /// backend is deterministic given its options, so the merged solution is
-  /// bit-identical for any thread count.
-  int num_threads = 0;
   maxsat::ExactSolverOptions exact;
   maxsat::WalkSatOptions walksat;
   ilp::BranchBoundSolver::Options ilp;
@@ -75,14 +70,14 @@ struct MlnSolution {
 /// formulas subject to hard constraints, component by component.
 ///
 /// The per-component path works on a ground::ComponentPartition: it solves
-/// the components that hold no outcome yet (concurrently — they are
-/// independent, and every backend is deterministic given its options),
-/// records each outcome and atom value in the partition, then reduces
-/// every component's outcome in canonical component order. A partition
-/// carried across edits (core::IncrementalResolver) therefore pays solver
-/// time only for the components an edit touched, and the objective,
-/// feasibility and optimality are bit-identical to a from-scratch solve at
-/// any thread count.
+/// the components that hold no outcome yet, one after another on the
+/// calling thread (they are independent, and every backend is
+/// deterministic given its options), records each outcome and atom value
+/// in the partition, then reduces every component's outcome in canonical
+/// component order. A partition carried across edits
+/// (core::IncrementalResolver) therefore pays solver time only for the
+/// components an edit touched, and the objective, feasibility and
+/// optimality are bit-identical to a from-scratch solve.
 class MlnMapSolver {
  public:
   MlnMapSolver(const ground::GroundNetwork& network,

@@ -22,11 +22,10 @@ std::string IsoTimestampUtc() {
   const int sub_micros = static_cast<int>(micros % 1000000);
   std::tm tm_utc{};
   gmtime_r(&seconds, &tm_utc);
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%06dZ",
-                tm_utc.tm_year + 1900, tm_utc.tm_mon + 1, tm_utc.tm_mday,
-                tm_utc.tm_hour, tm_utc.tm_min, tm_utc.tm_sec, sub_micros);
-  return buf;
+  char date[32];
+  const size_t len =
+      std::strftime(date, sizeof(date), "%Y-%m-%dT%H:%M:%S", &tm_utc);
+  return std::string(date, len) + StringPrintf(".%06dZ", sub_micros);
 }
 
 /// Paths come from the wire; keep the log greppable by masking the few

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace tecore {
@@ -49,18 +48,12 @@ Result<PslSolution> PslSolver::Solve(ground::ComponentPartition* components) {
     solution.largest_component = network_.NumAtoms();
   } else {
     // The consensus objective is separable across connected components:
-    // run ADMM on each unsolved component (concurrently — they are
-    // independent) and record its local solution as the partition's atom
-    // state. Atoms in clause-free components keep ADMM's 0.5 initial
-    // value, matching the monolithic path, and the energy is reduced in
-    // component order so the result is deterministic for any thread count.
+    // run ADMM on each unsolved component and record its local solution as
+    // the partition's atom state. Atoms in clause-free components keep
+    // ADMM's 0.5 initial value, matching the monolithic path, and the
+    // energy is reduced in component order.
     const std::vector<uint32_t> todo = components->Unsolved();
-    // Never spawn more executors than there are components to solve.
-    util::ThreadPool pool(static_cast<int>(
-        std::min<size_t>(util::ResolveThreadCount(options_.num_threads),
-                         std::max<size_t>(todo.size(), 1))));
-    pool.ParallelFor(todo.size(), [&](size_t i) {
-      const uint32_t c = todo[i];
+    for (const uint32_t c : todo) {
       const ground::IdSpan<ground::AtomId> atoms = components->atoms(c);
       HlMrf mrf = BuildComponentHlMrf(network_, atoms, components->clauses(c),
                                       options_.squared_hinges);
@@ -75,7 +68,7 @@ Result<PslSolution> PslSolver::Solve(ground::ComponentPartition* components) {
         components->set_atom_state(
             atoms[local], local < result.x.size() ? result.x[local] : 0.5);
       }
-    });
+    }
     solution.solved_components = todo.size();
     solution.reused_components = components->NumWithClauses() - todo.size();
 

@@ -28,13 +28,9 @@ struct PslSolverOptions {
   /// convergence the optima coincide; with the tolerance-based stopping
   /// rule, truth values can differ from the monolithic path within the
   /// residual tolerance (near-threshold atoms may round differently).
-  /// Per-component runs converge in fewer iterations and solve
-  /// concurrently; disable to reproduce pre-decomposition outputs.
+  /// Per-component runs converge in fewer iterations; disable to
+  /// reproduce pre-decomposition outputs.
   bool use_components = true;
-  /// Executors for per-component ADMM: 0 = auto (hardware threads),
-  /// 1 = sequential. Deterministic for any thread count (results are
-  /// scattered into pre-sized vectors and reduced in component order).
-  int num_threads = 0;
 };
 
 /// \brief Outcome of the PSL pipeline.

@@ -24,13 +24,15 @@ namespace rdf {
 ///
 /// Interning is thread-safe and sharded: the term -> id index is split into
 /// kNumShards hash-partitioned maps, each behind its own mutex, so
-/// concurrent Intern() calls for different terms rarely contend (the
-/// property-graph-loader idiom). Ids come from a single atomic allocator,
-/// so they stay dense — every id in [0, Size()) names exactly one term —
-/// and a single-threaded caller still sees ids in insertion order 0,1,2,…
-/// exactly as before. Under concurrent interning the id *order* depends on
-/// the interleaving, but the id <-> term mapping itself is always
-/// consistent.
+/// concurrent Intern() calls for different terms rarely contend. The
+/// concurrent user is the server: TemporalGraph::Clone shares one
+/// dictionary between a KB's writer and its published snapshots, so
+/// snapshot grounding interns rule constants while the writer interns
+/// edits. Ids come from a single atomic allocator, so they stay dense —
+/// every id in [0, Size()) names exactly one term — and a single-threaded
+/// caller (every parse) sees ids in insertion order 0,1,2,…. Under
+/// concurrent interning the id *order* depends on the interleaving, but
+/// the id <-> term mapping itself is always consistent.
 ///
 /// Terms live in a doubling-bucket store with stable addresses, addressed
 /// through a fixed directory of atomic pointers: Lookup() is lock-free and
@@ -80,8 +82,8 @@ class Dictionary {
 
  private:
   /// Shard count (power of two). 16 shards keep the per-shard collision
-  /// probability low for typical loader/grounder thread counts while the
-  /// single-threaded path pays only one uncontended lock per Intern.
+  /// probability low for concurrent snapshot readers and the writer while
+  /// the single-threaded path pays only one uncontended lock per Intern.
   static constexpr size_t kNumShards = 16;
 
   /// Term storage: bucket 0 holds kFirstBucketSize slots, every further

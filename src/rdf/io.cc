@@ -1,12 +1,10 @@
 #include "rdf/io.h"
 
-#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
 
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace tecore {
 namespace rdf {
@@ -158,94 +156,6 @@ Result<TemporalGraph> ParseGraphText(std::string_view text) {
   return graph;
 }
 
-Result<TemporalGraph> ParseGraphText(std::string_view text,
-                                     const ParseOptions& options) {
-  // Chunk boundaries are fixed byte targets extended to the next newline:
-  // a pure function of the input, never of the thread count, so the fact
-  // append order below — and with it every canonical output — is identical
-  // at 1, 2 or N threads.
-  constexpr size_t kChunkTargetBytes = 256 * 1024;
-  struct Chunk {
-    size_t begin = 0;
-    size_t end = 0;        // one past the last byte
-    size_t first_line = 1;
-  };
-  std::vector<Chunk> chunks;
-  {
-    size_t pos = 0;
-    size_t line = 1;
-    while (pos < text.size()) {
-      size_t end = pos + kChunkTargetBytes;
-      if (end >= text.size()) {
-        end = text.size();
-      } else {
-        const size_t nl = text.find('\n', end);
-        end = nl == std::string_view::npos ? text.size() : nl + 1;
-      }
-      chunks.push_back({pos, end, line});
-      line += static_cast<size_t>(
-          std::count(text.begin() + pos, text.begin() + end, '\n'));
-      pos = end;
-    }
-  }
-
-  TemporalGraph graph;
-  struct ChunkResult {
-    /// Parsed facts with their 1-based line numbers (for Add errors).
-    std::vector<std::pair<TemporalFact, size_t>> facts;
-    size_t error_line = 0;  // 0 = no error
-    std::string error_message;
-  };
-  std::vector<ChunkResult> results(chunks.size());
-  // ParseFactText only *interns* into the sharded dictionary — the one
-  // mutation TemporalGraph supports concurrently — and buffers the facts;
-  // the appends happen single-threaded below, in chunk order.
-  util::ThreadPool pool(util::ResolveThreadCount(options.num_threads));
-  pool.ParallelFor(chunks.size(), [&](size_t ci) {
-    const Chunk& chunk = chunks[ci];
-    ChunkResult& out = results[ci];
-    size_t pos = chunk.begin;
-    size_t line_no = chunk.first_line;
-    while (pos < chunk.end) {
-      size_t eol = text.find('\n', pos);
-      if (eol == std::string_view::npos || eol >= chunk.end) eol = chunk.end;
-      std::string_view raw = text.substr(pos, eol - pos);
-      pos = eol + 1;
-      std::string_view line = Trim(StripTqComment(raw));
-      if (!line.empty()) {
-        Result<TemporalFact> fact = ParseFactText(line, &graph);
-        if (!fact.ok()) {
-          // First error only; chunk order == line order, so the earliest
-          // erroring chunk carries the globally earliest error.
-          out.error_line = line_no;
-          out.error_message = fact.status().message();
-          break;
-        }
-        out.facts.emplace_back(std::move(*fact), line_no);
-      }
-      ++line_no;
-    }
-  });
-
-  for (const ChunkResult& result : results) {
-    if (result.error_line != 0) {
-      return Status::ParseError(
-          StringPrintf("line %zu: ", result.error_line) +
-          result.error_message);
-    }
-  }
-  for (ChunkResult& result : results) {
-    for (auto& [fact, line_no] : result.facts) {
-      Result<FactId> added = graph.Add(fact);
-      if (!added.ok()) {
-        return Status::ParseError(StringPrintf("line %zu: ", line_no) +
-                                  added.status().message());
-      }
-    }
-  }
-  return graph;
-}
-
 std::string WriteFactText(const TemporalGraph& graph,
                           const TemporalFact& fact) {
   std::string out;
@@ -282,17 +192,6 @@ Result<TemporalGraph> LoadGraphFile(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return ParseGraphText(buf.str());
-}
-
-Result<TemporalGraph> LoadGraphFile(const std::string& path,
-                                    const ParseOptions& options) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open file: " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseGraphText(buf.str(), options);
 }
 
 Status SaveGraphFile(const TemporalGraph& graph, const std::string& path) {

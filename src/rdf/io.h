@@ -27,26 +27,8 @@ namespace rdf {
 ///     CR coach Chelsea [2000,2004] 0.9 .
 ///     CR birthDate 1951 [1951,2017] 1.0 .
 
-/// \brief Parsing knobs for whole-document loads.
-struct ParseOptions {
-  /// Executors for parsing + interning (0 = auto). The document is split
-  /// into newline-aligned chunks at *fixed byte targets* (a function of
-  /// the input alone, never of the thread count), chunks are parsed and
-  /// interned concurrently against the sharded dictionary, and facts are
-  /// appended in chunk order — so fact ids, the serialized graph bytes
-  /// and every canonical output are identical for every value here. Term
-  /// ids may differ across thread counts (interning interleaves), which
-  /// no canonical output depends on.
-  int num_threads = 1;
-};
-
 /// \brief Parse a whole ".tq" document into a graph.
 Result<TemporalGraph> ParseGraphText(std::string_view text);
-
-/// \brief Parse with explicit options (parallel load). Errors report the
-/// earliest offending line, same format as the serial parse.
-Result<TemporalGraph> ParseGraphText(std::string_view text,
-                                     const ParseOptions& options);
 
 /// \brief Parse one fact line into `graph`. Returns the new fact's id.
 Result<FactId> ParseFactLine(std::string_view line, TemporalGraph* graph);
@@ -71,10 +53,6 @@ std::string WriteGraphText(const TemporalGraph& graph);
 
 /// \brief Load a ".tq" file from disk.
 Result<TemporalGraph> LoadGraphFile(const std::string& path);
-
-/// \brief Load a ".tq" file with explicit parse options.
-Result<TemporalGraph> LoadGraphFile(const std::string& path,
-                                    const ParseOptions& options);
 
 /// \brief Save a graph to disk in ".tq" format.
 Status SaveGraphFile(const TemporalGraph& graph, const std::string& path);

@@ -3,8 +3,8 @@
 // writer applies randomized edit batches. Every read must observe a
 // self-consistent (version, graph, stats, result) tuple, versions must be
 // monotone per reader, and the final published result must be
-// bit-identical to a from-scratch resolve of the edited KB at 1/2/4
-// threads — the PR 3 determinism contract extended to concurrent traffic.
+// bit-identical to a from-scratch resolve of the edited KB — the
+// determinism contract extended to concurrent traffic.
 //
 // Run under TSan (cmake -DTECORE_SANITIZE=thread) to audit the
 // single-writer/many-reader claims, or ASan where TSan is unavailable.
@@ -149,42 +149,34 @@ TEST(ApiConcurrency, ReadersObserveConsistentSnapshotsUnderEdits) {
   EXPECT_EQ(reader_failures.load(), 0);
 
   // Final state must be bit-identical to a from-scratch resolve of the
-  // edited KB at 1/2/4 threads.
+  // edited KB.
   auto final_snap = engine.snapshot();
   ASSERT_TRUE(final_snap->has_result());
   const core::ResolveResult& incremental = *final_snap->result;
-  for (int threads : {1, 2, 4}) {
-    rdf::TemporalGraph compact = final_snap->graph->CompactLive();
-    core::ResolveOptions scratch_options = options;
-    scratch_options.num_threads = threads;
-    scratch_options.ground_threads = threads;
-    core::Resolver resolver(&compact, *final_snap->rules, scratch_options);
-    auto scratch = resolver.Run();
-    ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
-    EXPECT_EQ(incremental.objective, scratch->objective)  // bitwise
-        << "threads=" << threads;
-    EXPECT_EQ(incremental.feasible, scratch->feasible);
-    EXPECT_EQ(incremental.ground_atoms, scratch->ground_atoms);
-    EXPECT_EQ(incremental.ground_clauses, scratch->ground_clauses);
-    EXPECT_EQ(incremental.num_components, scratch->num_components);
-    // Flip sets compare via live ranks (scratch ids are compacted).
-    auto to_ranks = [&](const std::vector<rdf::FactId>& ids) {
-      std::vector<rdf::FactId> out;
-      out.reserve(ids.size());
-      for (rdf::FactId id : ids) {
-        out.push_back(
-            static_cast<rdf::FactId>(final_snap->graph->LiveRank(id)));
-      }
-      return out;
-    };
-    EXPECT_EQ(to_ranks(incremental.kept_facts), scratch->kept_facts);
-    EXPECT_EQ(to_ranks(incremental.removed_facts), scratch->removed_facts);
-    ASSERT_EQ(incremental.derived_facts.size(),
-              scratch->derived_facts.size());
-    for (size_t i = 0; i < incremental.derived_facts.size(); ++i) {
-      EXPECT_EQ(incremental.derived_facts[i].score,
-                scratch->derived_facts[i].score);  // bitwise
+  rdf::TemporalGraph compact = final_snap->graph->CompactLive();
+  core::Resolver resolver(&compact, *final_snap->rules, options);
+  auto scratch = resolver.Run();
+  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+  EXPECT_EQ(incremental.objective, scratch->objective);  // bitwise
+  EXPECT_EQ(incremental.feasible, scratch->feasible);
+  EXPECT_EQ(incremental.ground_atoms, scratch->ground_atoms);
+  EXPECT_EQ(incremental.ground_clauses, scratch->ground_clauses);
+  EXPECT_EQ(incremental.num_components, scratch->num_components);
+  // Flip sets compare via live ranks (scratch ids are compacted).
+  auto to_ranks = [&](const std::vector<rdf::FactId>& ids) {
+    std::vector<rdf::FactId> out;
+    out.reserve(ids.size());
+    for (rdf::FactId id : ids) {
+      out.push_back(static_cast<rdf::FactId>(final_snap->graph->LiveRank(id)));
     }
+    return out;
+  };
+  EXPECT_EQ(to_ranks(incremental.kept_facts), scratch->kept_facts);
+  EXPECT_EQ(to_ranks(incremental.removed_facts), scratch->removed_facts);
+  ASSERT_EQ(incremental.derived_facts.size(), scratch->derived_facts.size());
+  for (size_t i = 0; i < incremental.derived_facts.size(); ++i) {
+    EXPECT_EQ(incremental.derived_facts[i].score,
+              scratch->derived_facts[i].score);  // bitwise
   }
 }
 

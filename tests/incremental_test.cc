@@ -205,70 +205,33 @@ std::vector<core::GraphEdit> RandomBatch(rdf::TemporalGraph* graph, Rng* rng,
 }
 
 TEST(IncrementalResolve, RandomizedBatchesMatchFromScratch) {
-  // Three independent incremental tracks (1/2/4 threads) apply identical
-  // edit batches; every track must match the sequential from-scratch
-  // reference bit-for-bit after every batch — network included.
+  // Random edit batches through one incremental resolver; after every
+  // batch it must match the from-scratch reference bit-for-bit — network
+  // included.
   const rules::RuleSet rules = FootballRules(/*with_inference=*/true);
   datagen::FootballDbOptions gen;
   gen.num_players = 150;
   gen.num_teams = 16;
-
-  struct Track {
-    datagen::GeneratedKg kg;
-    std::unique_ptr<core::IncrementalResolver> resolver;
-  };
-  std::vector<std::unique_ptr<Track>> tracks;
-  for (int threads : {1, 2, 4}) {
-    auto track = std::make_unique<Track>();
-    track->kg = datagen::GenerateFootballDb(gen);
-    core::ResolveOptions options;
-    options.num_threads = threads;
-    options.ground_threads = threads;
-    track->resolver = std::make_unique<core::IncrementalResolver>(
-        &track->kg.graph, rules, options);
-    auto init = track->resolver->Initialize();
-    ASSERT_TRUE(init.ok()) << init.status().ToString();
-    tracks.push_back(std::move(track));
-  }
+  datagen::GeneratedKg kg = datagen::GenerateFootballDb(gen);
+  core::IncrementalResolver resolver(&kg.graph, rules,
+                                     core::ResolveOptions());
+  auto init = resolver.Initialize();
+  ASSERT_TRUE(init.ok()) << init.status().ToString();
 
   Rng rng(20260730);
   for (int batch = 0; batch < 4; ++batch) {
-    // Build the batch against track 0's graph; term ids are
-    // dictionary-specific, so re-intern per track via the rendered form.
-    std::vector<core::GraphEdit> edits = RandomBatch(
-        &tracks[0]->kg.graph, &rng, /*inserts=*/3, /*retracts=*/2);
+    SCOPED_TRACE(StringPrintf("batch %d", batch));
+    const std::vector<core::GraphEdit> edits =
+        RandomBatch(&kg.graph, &rng, /*inserts=*/3, /*retracts=*/2);
+    auto result = resolver.ApplyEdits(edits);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-    std::vector<core::ResolveResult> results;
-    for (std::unique_ptr<Track>& track : tracks) {
-      std::vector<core::GraphEdit> local = edits;
-      if (track != tracks[0]) {
-        for (core::GraphEdit& edit : local) {
-          const rdf::Dictionary& dict0 = tracks[0]->kg.graph.dict();
-          edit.fact = rdf::TemporalFact(
-              track->kg.graph.dict().Intern(dict0.Lookup(edit.fact.subject)),
-              track->kg.graph.dict().Intern(
-                  dict0.Lookup(edit.fact.predicate)),
-              track->kg.graph.dict().Intern(dict0.Lookup(edit.fact.object)),
-              edit.fact.interval, edit.fact.confidence);
-        }
-      }
-      auto result = track->resolver->ApplyEdits(local);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      results.push_back(std::move(*result));
-    }
-
-    core::ResolveOptions scratch_options;
     core::ResolveResult scratch =
-        ScratchResolve(tracks[0]->kg.graph, rules, scratch_options);
-    const std::string scratch_net = ScratchNetworkRendering(
-        tracks[0]->kg.graph, rules, ground::GroundingOptions());
-    for (size_t t = 0; t < tracks.size(); ++t) {
-      SCOPED_TRACE(StringPrintf("batch %d track %zu", batch, t));
-      ExpectResolutionBitIdentical(results[t], tracks[t]->kg.graph, scratch);
-      EXPECT_EQ(RenderNetwork(tracks[t]->resolver->network(),
-                              tracks[t]->kg.graph.dict()),
-                scratch_net);
-    }
+        ScratchResolve(kg.graph, rules, core::ResolveOptions());
+    ExpectResolutionBitIdentical(*result, kg.graph, scratch);
+    EXPECT_EQ(RenderNetwork(resolver.network(), kg.graph.dict()),
+              ScratchNetworkRendering(kg.graph, rules,
+                                      ground::GroundingOptions()));
   }
 }
 
@@ -388,7 +351,7 @@ TEST(IncrementalResolve, FastPathWithDerivedBlockMatchesFromScratch) {
   // in the past (fast path: its conflict clause merges the new atom into
   // the player's component), a duplicate-quad insert (merge, then
   // rebuild) and a retraction (rebuild). Every step must match a
-  // from-scratch run bit-for-bit, for both backends at 1 and 4 threads.
+  // from-scratch run bit-for-bit, for both backends.
   const rules::RuleSet rules = FootballRules(/*with_inference=*/true);
   datagen::FootballDbOptions gen;
   gen.num_players = 100;
@@ -403,22 +366,18 @@ TEST(IncrementalResolve, FastPathWithDerivedBlockMatchesFromScratch) {
   std::vector<std::unique_ptr<Track>> tracks;
   for (rules::SolverKind solver :
        {rules::SolverKind::kMln, rules::SolverKind::kPsl}) {
-    for (int threads : {1, 4}) {
-      auto track = std::make_unique<Track>();
-      track->kg = datagen::GenerateFootballDb(gen);
-      track->options.solver = solver;
-      track->options.num_threads = threads;
-      track->options.ground_threads = threads;
-      // The rules join most of the KB into one component; its exact MAP
-      // would dominate the runtime, so it takes the (deterministic)
-      // WalkSAT fallback on both paths.
-      track->options.mln.exact_var_limit = 64;
-      track->resolver = std::make_unique<core::IncrementalResolver>(
-          &track->kg.graph, rules, track->options);
-      auto init = track->resolver->Initialize();
-      ASSERT_TRUE(init.ok()) << init.status().ToString();
-      tracks.push_back(std::move(track));
-    }
+    auto track = std::make_unique<Track>();
+    track->kg = datagen::GenerateFootballDb(gen);
+    track->options.solver = solver;
+    // The rules join most of the KB into one component; its exact MAP
+    // would dominate the runtime, so it takes the (deterministic) WalkSAT
+    // fallback on both paths.
+    track->options.mln.exact_var_limit = 64;
+    track->resolver = std::make_unique<core::IncrementalResolver>(
+        &track->kg.graph, rules, track->options);
+    auto init = track->resolver->Initialize();
+    ASSERT_TRUE(init.ok()) << init.status().ToString();
+    tracks.push_back(std::move(track));
   }
   ASSERT_LT(tracks[0]->resolver->network().NumEvidenceAtoms(),
             tracks[0]->resolver->network().NumAtoms());  // derived block

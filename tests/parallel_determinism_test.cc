@@ -1,19 +1,15 @@
-// Per-component MAP solving is parallelized with a chunked thread pool;
-// components are independent and results are merged in component order, so
-// a 4-thread run must be indistinguishable from a sequential run: same
-// objective, same flip set (atom values), same diagnostics.
+// util::ThreadPool (the server's connection pool and the miner's
+// executors), and the PSL solver's per-component decomposition against its
+// monolithic ADMM run.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <string>
 #include <vector>
 
-#include "core/resolver.h"
 #include "datagen/generators.h"
 #include "ground/grounder.h"
-#include "mln/solver.h"
 #include "psl/solver.h"
 #include "rules/library.h"
 #include "util/thread_pool.h"
@@ -21,56 +17,16 @@
 namespace tecore {
 namespace {
 
-ground::GroundingResult GroundFootball(size_t players, bool with_inference,
-                                       int ground_threads = 0) {
+ground::GroundingResult GroundFootball(size_t players) {
   datagen::FootballDbOptions gen;
   gen.num_players = players;
   datagen::GeneratedKg kg = datagen::GenerateFootballDb(gen);
   auto constraints = rules::FootballConstraints();
   EXPECT_TRUE(constraints.ok());
-  rules::RuleSet rules = *constraints;
-  if (with_inference) {
-    auto inference = rules::FootballInferenceRules();
-    EXPECT_TRUE(inference.ok());
-    rules.Merge(*inference);
-  }
-  ground::GroundingOptions options;
-  options.num_threads = ground_threads;
-  ground::Grounder grounder(&kg.graph, rules, options);
+  ground::Grounder grounder(&kg.graph, *constraints);
   auto result = grounder.Run();
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(*result);
-}
-
-/// Bit-identical network comparison: atom ids, atom payloads, clause
-/// order, literals, weights — the parallel-grounding determinism contract,
-/// strictly stronger than the canonicalized equivalence check.
-void ExpectNetworksBitIdentical(const ground::GroundingResult& a,
-                                const ground::GroundingResult& b) {
-  ASSERT_EQ(a.network.NumAtoms(), b.network.NumAtoms());
-  ASSERT_EQ(a.network.NumClauses(), b.network.NumClauses());
-  EXPECT_EQ(a.num_groundings, b.num_groundings);
-  EXPECT_EQ(a.num_satisfied_heads, b.num_satisfied_heads);
-  EXPECT_EQ(a.rounds, b.rounds);
-  for (ground::AtomId id = 0; id < a.network.NumAtoms(); ++id) {
-    const ground::GroundAtom& x = a.network.atom(id);
-    const ground::GroundAtom& y = b.network.atom(id);
-    ASSERT_EQ(x.subject, y.subject) << "atom " << id;
-    ASSERT_EQ(x.predicate, y.predicate) << "atom " << id;
-    ASSERT_EQ(x.object, y.object) << "atom " << id;
-    ASSERT_EQ(x.interval, y.interval) << "atom " << id;
-    ASSERT_EQ(x.is_evidence, y.is_evidence) << "atom " << id;
-    ASSERT_EQ(x.prior_weight, y.prior_weight) << "atom " << id;
-    ASSERT_EQ(x.source_fact, y.source_fact) << "atom " << id;
-  }
-  for (size_t ci = 0; ci < a.network.NumClauses(); ++ci) {
-    const ground::GroundClause& x = a.network.clauses()[ci];
-    const ground::GroundClause& y = b.network.clauses()[ci];
-    ASSERT_EQ(x.literals, y.literals) << "clause " << ci;
-    ASSERT_EQ(x.weight, y.weight) << "clause " << ci;
-    ASSERT_EQ(x.hard, y.hard) << "clause " << ci;
-    ASSERT_EQ(x.rule_index, y.rule_index) << "clause " << ci;
-  }
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
@@ -97,134 +53,10 @@ TEST(ThreadPool, ResolveThreadCount) {
   EXPECT_EQ(util::ResolveThreadCount(4), 4);
 }
 
-TEST(ParallelDeterminism, GroundingBitIdenticalAcrossThreadCounts) {
-  // The chained inference rules force several fixpoint rounds, so this
-  // covers the parallel pass + canonical merge across rounds, not just the
-  // round-0 evidence join.
-  ground::GroundingResult one = GroundFootball(300, true, 1);
-  ground::GroundingResult two = GroundFootball(300, true, 2);
-  ground::GroundingResult four = GroundFootball(300, true, 4);
-  EXPECT_GT(one.rounds, 1);
-  ExpectNetworksBitIdentical(one, two);
-  ExpectNetworksBitIdentical(one, four);
-}
-
-TEST(ParallelDeterminism, GroundingBitIdenticalOnWikidata) {
-  datagen::WikidataOptions gen;
-  gen.target_facts = 3000;
-  auto constraints = rules::WikidataConstraints();
-  ASSERT_TRUE(constraints.ok());
-  std::vector<ground::GroundingResult> results;
-  for (int threads : {1, 2, 4}) {
-    datagen::GeneratedKg kg = datagen::GenerateWikidata(gen);
-    ground::GroundingOptions options;
-    options.num_threads = threads;
-    ground::Grounder grounder(&kg.graph, *constraints, options);
-    auto result = grounder.Run();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    results.push_back(std::move(*result));
-  }
-  ExpectNetworksBitIdentical(results[0], results[1]);
-  ExpectNetworksBitIdentical(results[0], results[2]);
-}
-
-TEST(ParallelDeterminism, EndToEndResolveMatchesAcrossGroundThreads) {
-  // Full pipeline determinism: grounding threads and solver threads both
-  // vary, output graphs must be byte-identical.
-  auto constraints = rules::FootballConstraints();
-  ASSERT_TRUE(constraints.ok());
-  std::vector<std::string> outputs;
-  for (int threads : {1, 4}) {
-    datagen::FootballDbOptions gen;
-    gen.num_players = 200;
-    datagen::GeneratedKg kg = datagen::GenerateFootballDb(gen);
-    core::ResolveOptions options;
-    options.num_threads = threads;
-    options.ground_threads = threads;
-    core::Resolver resolver(&kg.graph, *constraints, options);
-    auto result = resolver.Run();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    std::string rendered;
-    for (rdf::FactId id = 0; id < result->consistent_graph.NumFacts(); ++id) {
-      rendered += result->consistent_graph.FactToString(id) + "\n";
-    }
-    outputs.push_back(std::move(rendered));
-  }
-  EXPECT_EQ(outputs[0], outputs[1]);
-}
-
-TEST(ParallelDeterminism, MlnObjectiveAndFlipSetMatchSequential) {
-  ground::GroundingResult grounding = GroundFootball(600, false);
-  mln::MlnSolverOptions sequential;
-  sequential.num_threads = 1;
-  mln::MlnSolverOptions parallel;
-  parallel.num_threads = 4;
-
-  mln::MlnMapSolver seq_solver(grounding.network, sequential);
-  auto seq = seq_solver.Solve();
-  ASSERT_TRUE(seq.ok());
-  mln::MlnMapSolver par_solver(grounding.network, parallel);
-  auto par = par_solver.Solve();
-  ASSERT_TRUE(par.ok());
-
-  EXPECT_EQ(seq->objective, par->objective);  // bit-identical, not approx
-  EXPECT_EQ(seq->violated_weight, par->violated_weight);
-  EXPECT_EQ(seq->atom_values, par->atom_values);
-  EXPECT_EQ(seq->feasible, par->feasible);
-  EXPECT_EQ(seq->optimal, par->optimal);
-  EXPECT_EQ(seq->num_components, par->num_components);
-  EXPECT_EQ(seq->largest_component, par->largest_component);
-  EXPECT_EQ(seq->search_steps, par->search_steps);
-  EXPECT_GT(seq->num_components, 1u);
-}
-
-TEST(ParallelDeterminism, MlnWalkSatBackendIsDeterministicToo) {
-  ground::GroundingResult grounding = GroundFootball(600, false);
-  mln::MlnSolverOptions sequential;
-  sequential.backend = mln::MlnBackend::kWalkSat;
-  sequential.num_threads = 1;
-  mln::MlnSolverOptions parallel = sequential;
-  parallel.num_threads = 4;
-
-  mln::MlnMapSolver seq_solver(grounding.network, sequential);
-  auto seq = seq_solver.Solve();
-  ASSERT_TRUE(seq.ok());
-  mln::MlnMapSolver par_solver(grounding.network, parallel);
-  auto par = par_solver.Solve();
-  ASSERT_TRUE(par.ok());
-
-  // WalkSAT reseeds per component from the options, so thread interleaving
-  // cannot leak into the search trajectory.
-  EXPECT_EQ(seq->objective, par->objective);
-  EXPECT_EQ(seq->atom_values, par->atom_values);
-}
-
-TEST(ParallelDeterminism, PslTruthValuesMatchSequential) {
-  ground::GroundingResult grounding = GroundFootball(600, false);
-  psl::PslSolverOptions sequential;
-  sequential.num_threads = 1;
-  psl::PslSolverOptions parallel;
-  parallel.num_threads = 4;
-
-  psl::PslSolver seq_solver(grounding.network, sequential);
-  auto seq = seq_solver.Solve();
-  ASSERT_TRUE(seq.ok());
-  psl::PslSolver par_solver(grounding.network, parallel);
-  auto par = par_solver.Solve();
-  ASSERT_TRUE(par.ok());
-
-  EXPECT_EQ(seq->truth_values, par->truth_values);  // bit-identical
-  EXPECT_EQ(seq->atom_values, par->atom_values);
-  EXPECT_EQ(seq->objective, par->objective);
-  EXPECT_EQ(seq->energy, par->energy);
-  EXPECT_EQ(seq->repair_flips, par->repair_flips);
-  EXPECT_EQ(seq->num_components, par->num_components);
-}
-
 TEST(ParallelDeterminism, PslComponentDecompositionMatchesMonolithic) {
   // The consensus problem is separable: per-component ADMM and monolithic
   // ADMM round to the same Boolean state on the decoupled workload.
-  ground::GroundingResult grounding = GroundFootball(600, false);
+  ground::GroundingResult grounding = GroundFootball(600);
   psl::PslSolverOptions component_options;
   psl::PslSolverOptions monolithic_options;
   monolithic_options.use_components = false;

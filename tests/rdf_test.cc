@@ -346,53 +346,6 @@ TEST(TemporalGraph, WarmedTemporalIndexAnswersWithoutMutation) {
   EXPECT_TRUE(g.FactsIntersecting(ghost, {0, 10}).empty());
 }
 
-TEST(RdfIo, ParallelLoadIsByteIdenticalToSerial) {
-  // A document big enough to span several 256 KiB chunks, with comments
-  // and blank lines so per-chunk line accounting is exercised.
-  std::string text = "# synthetic multi-chunk document\n\n";
-  for (int i = 0; i < 30000; ++i) {
-    text += "player" + std::to_string(i % 500) + " playsFor team" +
-            std::to_string(i) + " [" + std::to_string(i % 50) + "," +
-            std::to_string(i % 50 + 3) + "] 0.7" +
-            (i % 7 == 0 ? " . # spell\n" : " .\n");
-  }
-  auto serial = ParseGraphText(text);
-  ASSERT_TRUE(serial.ok());
-  const std::string canonical = WriteGraphText(*serial);
-  for (int threads : {1, 2, 4, 0}) {
-    ParseOptions options;
-    options.num_threads = threads;
-    auto parallel = ParseGraphText(text, options);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(parallel->NumFacts(), serial->NumFacts());
-    // Same fact ids, same bytes: chunk boundaries depend on the input
-    // alone and appends happen in chunk order.
-    EXPECT_EQ(WriteGraphText(*parallel), canonical)
-        << "serialized graph differs at num_threads=" << threads;
-  }
-}
-
-TEST(RdfIo, ParallelLoadReportsEarliestErrorLine) {
-  // Errors in two different chunks: the globally earliest line wins,
-  // matching the serial parser's message exactly.
-  std::string text;
-  for (int i = 0; i < 20000; ++i) {
-    text += "s" + std::to_string(i) + " p o [1,2] 0.5 .\n";
-    if (i == 7001) text += "broken line without interval\n";
-    if (i == 15000) text += "another bad one\n";
-  }
-  ParseOptions options;
-  options.num_threads = 4;
-  auto parallel = ParseGraphText(text, options);
-  ASSERT_FALSE(parallel.ok());
-  auto serial = ParseGraphText(text);
-  ASSERT_FALSE(serial.ok());
-  EXPECT_EQ(parallel.status().message(), serial.status().message());
-  EXPECT_NE(parallel.status().message().find("line 7003"),
-            std::string::npos)
-      << parallel.status().message();
-}
-
 TEST(RdfIo, FileRoundTrip) {
   auto graph = ParseGraphText("CR coach Chelsea [2000,2004] 0.9 .\n");
   ASSERT_TRUE(graph.ok());

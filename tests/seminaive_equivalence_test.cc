@@ -68,29 +68,24 @@ void ExpectEquivalent(rdf::TemporalGraph* graph, const rules::RuleSet& rules) {
   ASSERT_TRUE(naive_result.ok()) << naive_result.status().ToString();
   Canonical a = Canonicalize(naive_result->network);
 
-  // The semi-naive path must match naive at every grounding thread count
-  // (1 = sequential direct emission, >1 = parallel passes + merge).
-  for (int ground_threads : {1, 2, 4}) {
-    GroundingOptions delta;
-    delta.semi_naive = true;
-    delta.num_threads = ground_threads;
+  GroundingOptions delta;
+  delta.semi_naive = true;
 
-    Grounder delta_grounder(graph, rules, delta);
-    auto delta_result = delta_grounder.Run();
-    ASSERT_TRUE(delta_result.ok()) << delta_result.status().ToString();
+  Grounder delta_grounder(graph, rules, delta);
+  auto delta_result = delta_grounder.Run();
+  ASSERT_TRUE(delta_result.ok()) << delta_result.status().ToString();
 
-    EXPECT_EQ(naive_result->network.NumAtoms(),
-              delta_result->network.NumAtoms());
-    EXPECT_EQ(naive_result->network.NumClauses(),
-              delta_result->network.NumClauses());
-    EXPECT_EQ(naive_result->num_groundings, delta_result->num_groundings);
-    EXPECT_EQ(naive_result->num_satisfied_heads,
-              delta_result->num_satisfied_heads);
+  EXPECT_EQ(naive_result->network.NumAtoms(),
+            delta_result->network.NumAtoms());
+  EXPECT_EQ(naive_result->network.NumClauses(),
+            delta_result->network.NumClauses());
+  EXPECT_EQ(naive_result->num_groundings, delta_result->num_groundings);
+  EXPECT_EQ(naive_result->num_satisfied_heads,
+            delta_result->num_satisfied_heads);
 
-    Canonical b = Canonicalize(delta_result->network);
-    EXPECT_EQ(a.atoms, b.atoms) << "ground_threads=" << ground_threads;
-    EXPECT_EQ(a.clauses, b.clauses) << "ground_threads=" << ground_threads;
-  }
+  Canonical b = Canonicalize(delta_result->network);
+  EXPECT_EQ(a.atoms, b.atoms);
+  EXPECT_EQ(a.clauses, b.clauses);
 }
 
 TEST(SemiNaiveEquivalence, RunningExampleConstraints) {

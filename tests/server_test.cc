@@ -958,6 +958,56 @@ TEST_F(ServerTest, MetricsExportIncrementalInternals) {
   EXPECT_GE(delta("tecore_solve_components_total{outcome=\"reused\"}"), 2);
 }
 
+TEST_F(ServerTest, RetiredThreadKeysAreIgnored) {
+  // Solve and edit bodies take no thread counts: `threads` and
+  // `ground_threads` are unknown keys there. Clients that send them, the
+  // service benchmark's serve_read editor among them, must get the answer
+  // they get without.
+  const std::string graph =
+      "{\"text\":\"A playsFor X [1,5] 0.9 .\\n"
+      "A playsFor Y [3,8] 0.6 .\\n"
+      "B playsFor X [2,6] 0.8 .\\n"
+      "B playsFor Z [4,7] 0.7 .\\n"
+      "X locatedIn C1 [1,9] 0.9 .\\n\"}";
+  const std::string rules =
+      "{\"text\":\"c1: quad(x, playsFor, y, t) & "
+      "quad(x, playsFor, z, t') & y != z -> disjoint(t, t') .\"}";
+  // [0] without the retired keys, [1] with them; each a solve, then an
+  // edit with svcbench's serve_read body (one relocation insert, no fact
+  // lists).
+  util::Json solves[2], edits[2];
+  for (int with_keys = 0; with_keys < 2; ++with_keys) {
+    const std::string kb = with_keys ? "keys" : "plain";
+    const std::string base = "/v1/kb/" + kb;
+    const std::string extra =
+        with_keys ? ",\"threads\":4,\"ground_threads\":4" : "";
+    ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb",
+                            "{\"name\":\"" + kb + "\"}")),
+              201);
+    ASSERT_EQ(StatusOf(Http(port_, "POST", base + "/graph", graph)), 200);
+    ASSERT_EQ(StatusOf(Http(port_, "POST", base + "/rules", rules)), 200);
+    const std::string solve = Http(port_, "POST", base + "/solve",
+                                   "{\"solver\":\"mln\"" + extra + "}");
+    ASSERT_EQ(StatusOf(solve), 200) << solve;
+    const std::string edit = Http(
+        port_, "POST", base + "/edits",
+        "{\"script\":\"+ X locatedIn C2 [1990,1995] 0.4321 .\\n\","
+        "\"max_facts\":0" +
+            extra + "}");
+    ASSERT_EQ(StatusOf(edit), 200) << edit;
+    solves[with_keys] = BodyOf(solve);
+    edits[with_keys] = BodyOf(edit);
+  }
+  EXPECT_EQ(solves[0].GetInt("removed", -1), 2);  // one per player
+  EXPECT_EQ(edits[0].GetInt("inserted", -1), 1);
+  for (const util::Json* pair : {solves, edits}) {
+    EXPECT_EQ(pair[1].GetNumber("objective", -1),
+              pair[0].GetNumber("objective", -2));
+    EXPECT_EQ(pair[1].GetInt("kept", -1), pair[0].GetInt("kept", -2));
+    EXPECT_EQ(pair[1].GetInt("removed", -1), pair[0].GetInt("removed", -2));
+  }
+}
+
 TEST_F(ServerTest, SseSubscriberGaugeTracksOpenStreams) {
   ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb", "{\"name\":\"obs\"}")),
             201);

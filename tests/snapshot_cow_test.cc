@@ -1,8 +1,8 @@
 // Differential proof of the copy-on-write snapshot publish: identical
 // randomized edit scripts — inserts, retractions, rule changes and
-// interleaved solves — drive api::Engine instances at 1/2/4 threads (the
-// COW world) and a deep-clone baseline world (rdf::TemporalGraph::DeepCopy,
-// the pre-COW semantics). After every step the two worlds must agree
+// interleaved solves — drive an api::Engine (the COW world) and a
+// deep-clone baseline world (rdf::TemporalGraph::DeepCopy, the pre-COW
+// semantics). After every step the two worlds must agree
 // bit-for-bit: canonical ground network bytes, objectives, kept/removed
 // sets, statistics, conflict sets and the serialized graph. Retained
 // snapshots must stay byte-stable while the writer moves on, and an edit
@@ -153,10 +153,10 @@ void ExpectInvariantsOk(const rdf::TemporalGraph& graph) {
 }
 
 TEST(SnapshotCowDifferential, RandomizedScriptsMatchDeepCloneBaseline) {
-  // Three engines (the COW world) at 1/2/4 threads consume identical edit
-  // scripts; a baseline rdf::TemporalGraph applies the same edits and is
-  // DeepCopy'd at every step (the deep-clone world). All four must agree
-  // bit-for-bit after every step.
+  // An engine (the COW world) consumes edit scripts; a baseline
+  // rdf::TemporalGraph applies the same edits and is DeepCopy'd at every
+  // step (the deep-clone world). The two must agree bit-for-bit after
+  // every step.
   datagen::FootballDbOptions gen;
   gen.num_players = 40;
   gen.num_teams = 8;
@@ -168,25 +168,15 @@ TEST(SnapshotCowDifferential, RandomizedScriptsMatchDeepCloneBaseline) {
   auto inference = rules::FootballInferenceRules();
   ASSERT_TRUE(inference.ok());
 
-  struct Track {
-    std::unique_ptr<api::Engine> engine;
-    core::ResolveOptions options;
-    std::shared_ptr<const api::Snapshot> prev_snapshot;
-    /// Serialized graph bytes captured the moment each version published.
-    std::map<uint64_t, std::string> bytes_at_publish;
-  };
-  std::vector<Track> tracks;
-  for (int threads : {1, 2, 4}) {
-    Track track;
-    api::Engine::Options engine_options;
-    engine_options.retain_versions = 4;
-    track.engine = std::make_unique<api::Engine>(engine_options);
-    track.options.num_threads = threads;
-    track.options.ground_threads = threads;
-    ASSERT_TRUE(track.engine->LoadGraphText(base_text).ok());
-    ASSERT_TRUE(track.engine->AddRules(*constraints).ok());
-    tracks.push_back(std::move(track));
-  }
+  api::Engine::Options engine_options;
+  engine_options.retain_versions = 4;
+  api::Engine engine(engine_options);
+  const core::ResolveOptions options;
+  ASSERT_TRUE(engine.LoadGraphText(base_text).ok());
+  ASSERT_TRUE(engine.AddRules(*constraints).ok());
+  std::shared_ptr<const api::Snapshot> prev_snapshot;
+  /// Serialized graph bytes captured the moment each version published.
+  std::map<uint64_t, std::string> bytes_at_publish;
 
   // The deep-clone baseline world.
   auto parsed = rdf::ParseGraphText(base_text);
@@ -208,9 +198,7 @@ TEST(SnapshotCowDifferential, RandomizedScriptsMatchDeepCloneBaseline) {
     SCOPED_TRACE(step);
     if (step == 2) {
       // Rule change mid-script: inference rules join the constraint set.
-      for (Track& track : tracks) {
-        ASSERT_TRUE(track.engine->AddRules(*inference).ok());
-      }
+      ASSERT_TRUE(engine.AddRules(*inference).ok());
       baseline_rules.Merge(*inference);
     }
 
@@ -252,13 +240,10 @@ TEST(SnapshotCowDifferential, RandomizedScriptsMatchDeepCloneBaseline) {
       live_lines.erase(live_lines.begin() + static_cast<ptrdiff_t>(pick));
     }
 
-    // COW world: one atomic script application per engine.
-    std::vector<api::EditOutcome> outcomes;
-    for (Track& track : tracks) {
-      auto outcome = track.engine->ApplyEditScript(script, track.options);
-      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-      outcomes.push_back(std::move(*outcome));
-    }
+    // COW world: one atomic script application.
+    auto applied = engine.ApplyEditScript(script, options);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    const api::EditOutcome& outcome = *applied;
 
     // Baseline world: the same edits, then a deep clone (the pre-COW
     // publish semantics) that all references are computed against.
@@ -286,90 +271,82 @@ TEST(SnapshotCowDifferential, RandomizedScriptsMatchDeepCloneBaseline) {
     const std::string scratch_conflicts =
         ConflictsToString(*scratch_report, deep);
 
-    for (size_t t = 0; t < tracks.size(); ++t) {
-      SCOPED_TRACE(StringPrintf("track %zu", t));
-      Track& track = tracks[t];
-      const api::EditOutcome& outcome = outcomes[t];
-      auto snap = track.engine->snapshot();
-      ASSERT_EQ(snap->version, outcome.version);
+    auto snap = engine.snapshot();
+    ASSERT_EQ(snap->version, outcome.version);
 
-      // Resolution bit-identical to the deep-clone scratch reference.
-      EXPECT_EQ(outcome.result->objective, scratch.objective);  // bitwise
-      EXPECT_EQ(outcome.result->feasible, scratch.feasible);
-      EXPECT_EQ(outcome.result->optimal, scratch.optimal);
-      EXPECT_EQ(outcome.result->ground_atoms, scratch.ground_atoms);
-      EXPECT_EQ(outcome.result->ground_clauses, scratch.ground_clauses);
-      EXPECT_EQ(outcome.result->num_components, scratch.num_components);
-      EXPECT_EQ(ToLiveRanks(*snap->graph, outcome.result->kept_facts),
-                scratch.kept_facts);
-      EXPECT_EQ(ToLiveRanks(*snap->graph, outcome.result->removed_facts),
-                scratch.removed_facts);
+    // Resolution bit-identical to the deep-clone scratch reference.
+    EXPECT_EQ(outcome.result->objective, scratch.objective);  // bitwise
+    EXPECT_EQ(outcome.result->feasible, scratch.feasible);
+    EXPECT_EQ(outcome.result->optimal, scratch.optimal);
+    EXPECT_EQ(outcome.result->ground_atoms, scratch.ground_atoms);
+    EXPECT_EQ(outcome.result->ground_clauses, scratch.ground_clauses);
+    EXPECT_EQ(outcome.result->num_components, scratch.num_components);
+    EXPECT_EQ(ToLiveRanks(*snap->graph, outcome.result->kept_facts),
+              scratch.kept_facts);
+    EXPECT_EQ(ToLiveRanks(*snap->graph, outcome.result->removed_facts),
+              scratch.removed_facts);
 
-      // The maintained canonical network, byte-for-byte.
-      ASSERT_NE(track.engine->incremental_for_tests(), nullptr);
-      EXPECT_EQ(RenderNetwork(track.engine->incremental_for_tests()->network(),
-                              track.engine->graph_for_tests()->dict()),
-                scratch_net);
+    // The maintained canonical network, byte-for-byte.
+    ASSERT_NE(engine.incremental_for_tests(), nullptr);
+    EXPECT_EQ(RenderNetwork(engine.incremental_for_tests()->network(),
+                            engine.graph_for_tests()->dict()),
+              scratch_net);
 
-      // Published statistics and conflict sets match from-scratch ones.
-      ASSERT_NE(snap->stats, nullptr);
-      EXPECT_EQ(StatsToString(*snap->stats), scratch_stats);
-      auto report = snap->DetectConflicts();
-      ASSERT_TRUE(report.ok()) << report.status().ToString();
-      EXPECT_EQ(ConflictsToString(**report, *snap->graph), scratch_conflicts);
+    // Published statistics and conflict sets match from-scratch ones.
+    ASSERT_NE(snap->stats, nullptr);
+    EXPECT_EQ(StatsToString(*snap->stats), scratch_stats);
+    auto report = snap->DetectConflicts();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(ConflictsToString(**report, *snap->graph), scratch_conflicts);
 
-      // The snapshot graph serializes to the same bytes as the deep clone.
-      EXPECT_EQ(rdf::WriteGraphText(*snap->graph), scratch_bytes);
-      track.bytes_at_publish[snap->version] = scratch_bytes;
+    // The snapshot graph serializes to the same bytes as the deep clone.
+    EXPECT_EQ(rdf::WriteGraphText(*snap->graph), scratch_bytes);
+    bytes_at_publish[snap->version] = scratch_bytes;
 
-      // Chunk-sharing invariants: the snapshot shares every chunk with the
-      // writer until the next mutation, and both self-check clean.
-      ExpectInvariantsOk(*snap->graph);
-      ExpectInvariantsOk(*track.engine->graph_for_tests());
-      EXPECT_EQ(rdf::TemporalGraph::CountSharedChunks(
-                    *snap->graph, *track.engine->graph_for_tests()),
-                snap->graph->NumChunks());
+    // Chunk-sharing invariants: the snapshot shares every chunk with the
+    // writer until the next mutation, and both self-check clean.
+    ExpectInvariantsOk(*snap->graph);
+    ExpectInvariantsOk(*engine.graph_for_tests());
+    EXPECT_EQ(rdf::TemporalGraph::CountSharedChunks(
+                  *snap->graph, *engine.graph_for_tests()),
+              snap->graph->NumChunks());
 
-      // A later version never resurrects a retracted fact.
-      if (track.prev_snapshot != nullptr &&
-          track.prev_snapshot->has_graph()) {
-        Status monotone = rdf::TemporalGraph::CheckTombstoneMonotone(
-            *track.prev_snapshot->graph, *snap->graph);
-        EXPECT_TRUE(monotone.ok()) << monotone.ToString();
-      }
-      track.prev_snapshot = snap;
+    // A later version never resurrects a retracted fact.
+    if (prev_snapshot != nullptr && prev_snapshot->has_graph()) {
+      Status monotone = rdf::TemporalGraph::CheckTombstoneMonotone(
+          *prev_snapshot->graph, *snap->graph);
+      EXPECT_TRUE(monotone.ok()) << monotone.ToString();
+    }
+    prev_snapshot = snap;
 
-      // Interleaved solve: equal options must serve the published result
-      // from the snapshot cache, still matching the scratch objective.
-      if (step % 2 == 1) {
-        auto solved = track.engine->Solve(track.options);
-        ASSERT_TRUE(solved.ok()) << solved.status().ToString();
-        EXPECT_TRUE(solved->cached);
-        EXPECT_EQ(solved->result->objective, scratch.objective);
-      }
+    // Interleaved solve: equal options must serve the published result
+    // from the snapshot cache, still matching the scratch objective.
+    if (step % 2 == 1) {
+      auto solved = engine.Solve(options);
+      ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+      EXPECT_TRUE(solved->cached);
+      EXPECT_EQ(solved->result->objective, scratch.objective);
     }
   }
 
   // Retained snapshots stay byte-stable after all the later edits, and the
   // ring answers out-of-range versions with the documented statuses.
-  for (Track& track : tracks) {
-    const auto range = track.engine->RetainedRange();
-    EXPECT_EQ(range.second, track.engine->version());
-    for (uint64_t v = range.first; v <= range.second; ++v) {
-      auto snap = track.engine->SnapshotAt(v);
-      ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-      if (!(*snap)->has_graph()) continue;
-      auto recorded = track.bytes_at_publish.find(v);
-      if (recorded == track.bytes_at_publish.end()) continue;
-      EXPECT_EQ(rdf::WriteGraphText(*(*snap)->graph), recorded->second)
-          << "retained version " << v << " mutated after publish";
-    }
-    auto future = track.engine->SnapshotAt(track.engine->version() + 5);
-    EXPECT_EQ(future.status().code(), StatusCode::kNotFound);
-    ASSERT_GT(range.first, 1u);  // enough publishes to evict version 1
-    auto evicted = track.engine->SnapshotAt(1);
-    EXPECT_EQ(evicted.status().code(), StatusCode::kGone);
+  const auto range = engine.RetainedRange();
+  EXPECT_EQ(range.second, engine.version());
+  for (uint64_t v = range.first; v <= range.second; ++v) {
+    auto snap = engine.SnapshotAt(v);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    if (!(*snap)->has_graph()) continue;
+    auto recorded = bytes_at_publish.find(v);
+    if (recorded == bytes_at_publish.end()) continue;
+    EXPECT_EQ(rdf::WriteGraphText(*(*snap)->graph), recorded->second)
+        << "retained version " << v << " mutated after publish";
   }
+  auto future = engine.SnapshotAt(engine.version() + 5);
+  EXPECT_EQ(future.status().code(), StatusCode::kNotFound);
+  ASSERT_GT(range.first, 1u);  // enough publishes to evict version 1
+  auto evicted = engine.SnapshotAt(1);
+  EXPECT_EQ(evicted.status().code(), StatusCode::kGone);
 }
 
 TEST(SnapshotCowDifferential, EditOfKFactsCopiesOKChunks) {
