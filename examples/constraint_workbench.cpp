@@ -20,6 +20,7 @@
 
 #include "core/session.h"
 #include "datagen/generators.h"
+#include "mine/miner.h"
 #include "rules/library.h"
 #include "util/string_util.h"
 
@@ -121,18 +122,12 @@ int main() {
     } else if (cmd == "clear-rules") {
       session.ClearRules();
     } else if (cmd == "suggest") {
-      auto suggestions = session.SuggestConstraints();
-      if (!suggestions.ok()) {
-        std::printf("%s\n", suggestions.status().ToString().c_str());
+      auto report = session.MineConstraints();
+      if (!report.ok()) {
+        std::printf("%s\n", report.status().ToString().c_str());
         continue;
       }
-      if (suggestions->empty()) {
-        std::printf("no constraint patterns with enough support\n");
-      }
-      for (const core::Suggestion& s : *suggestions) {
-        std::printf("  %s\n    evidence: %s\n", s.rule.ToString().c_str(),
-                    s.rationale.c_str());
-      }
+      std::printf("%s", mine::WriteMinedRulesText(*report, {}).c_str());
     } else if (cmd == "compat") {
       core::CompatibilityReport report = session.AnalyzeRuleCompatibility();
       if (report.possibly_consistent) {

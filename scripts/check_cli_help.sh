@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CLI help coverage: the usage text must mention every plumbed option and
 # every subcommand, so an option added in code but forgotten in --help
-# fails the build.
+# fails the build. Also checks that malformed numeric flag values are
+# refused with exit status 2.
 #
 # Usage: scripts/check_cli_help.sh [path/to/tecore-cli]
 set -u
@@ -49,3 +50,26 @@ if [[ "$missing" -ne 0 ]]; then
   exit 1
 fi
 echo "usage text mentions all ${#FLAGS[@]} options and ${#COMMANDS[@]} subcommands"
+
+# Malformed numeric flag values are usage errors: exit 2 with a message,
+# never a crash (an uncaught exception exits by SIGABRT, status 134).
+# Each is rejected before any input file is read, so none needs to exist.
+bad=0
+expect_usage_error() {
+  "$CLI" "$@" >/dev/null 2>&1
+  local code=$?
+  if [[ "$code" -ne 2 ]]; then
+    echo "tecore-cli $* exited $code, expected 2" >&2
+    bad=1
+  fi
+}
+expect_usage_error gen --size abc
+expect_usage_error gen --size -1
+expect_usage_error solve --graph absent.tq --rules absent.tcr --threshold abc
+expect_usage_error mine --graph absent.tq --min-support -1
+expect_usage_error mine --graph absent.tq --max-patterns abc
+expect_usage_error mine --graph absent.tq --min-confidence 2
+if [[ "$bad" -ne 0 ]]; then
+  exit 1
+fi
+echo "malformed numeric flag values exit 2"

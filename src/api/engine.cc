@@ -137,12 +137,6 @@ std::string Snapshot::DescribeConflict(const core::Conflict& conflict) const {
   return out;
 }
 
-Result<std::vector<core::Suggestion>> Snapshot::SuggestConstraints(
-    const core::SuggestOptions& options) const {
-  if (!graph) return Status::InvalidArgument("no graph loaded");
-  return core::SuggestConstraints(*graph, options);
-}
-
 Result<mine::MiningReport> Snapshot::MineConstraints(
     const mine::MiningOptions& options) const {
   if (!graph) return Status::InvalidArgument("no graph loaded");

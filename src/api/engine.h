@@ -15,7 +15,6 @@
 #include "core/conflict.h"
 #include "core/edits.h"
 #include "core/resolver.h"
-#include "core/suggest.h"
 #include "kb/statistics.h"
 #include "mine/miner.h"
 #include "rdf/graph.h"
@@ -93,10 +92,6 @@ class Snapshot {
   /// \brief Render one conflict with its facts (results browser).
   std::string DescribeConflict(const core::Conflict& conflict) const;
 
-  /// \brief Mine candidate constraints (read-only).
-  Result<std::vector<core::Suggestion>> SuggestConstraints(
-      const core::SuggestOptions& options = {}) const;
-
   /// \brief Pattern-based constraint mining over this frozen version
   /// (src/mine/): exact support/violation counting, canonical ranking,
   /// `.tcr`-ready rules. Read-only and snapshot-local, so it never blocks
@@ -144,7 +139,7 @@ struct EditOutcome {
 ///
 /// Concurrency contract (single-writer / many-reader):
 ///  * *Reads* (`snapshot()`, `Stats()`, `CompletePredicate()`,
-///    `DetectConflicts()`, `SuggestConstraints()`, `CachedResult()`) never
+///    `DetectConflicts()`, `MineConstraints()`, `CachedResult()`) never
 ///    take the writer lock: they copy the current snapshot pointer and
 ///    work on frozen state, so they never block writes and writes never
 ///    tear them.

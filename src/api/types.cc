@@ -10,6 +10,45 @@ namespace api {
 
 using util::Json;
 
+namespace {
+
+/// Reads an optional count member into `*out`. A negative value is an
+/// error: cast to size_t it would wrap to a huge cap and switch it off.
+Status ReadCount(const Json& json, const char* key, size_t* out) {
+  const int64_t value = json.GetInt(key, static_cast<int64_t>(*out));
+  if (value < 0) {
+    return Status::InvalidArgument(StringPrintf("%s must be >= 0", key));
+  }
+  *out = static_cast<size_t>(value);
+  return Status::OK();
+}
+
+/// One line of evidence for a mined rule, for the suggestion panel.
+std::string Rationale(const mine::MinedRule& mined,
+                      unsigned long long examined, double violation_rate) {
+  const double violated = 100.0 * violation_rate;
+  switch (mined.kind) {
+    case mine::PatternKind::kDisjointness:
+      return StringPrintf(
+          "%llu same-subject '%s' pairs with different objects; %.1f%% "
+          "overlap in time",
+          examined, mined.predicate.c_str(), violated);
+    case mine::PatternKind::kFunctional:
+      return StringPrintf(
+          "%llu temporally-overlapping '%s' pairs; %.1f%% disagree on the "
+          "object",
+          examined, mined.predicate.c_str(), violated);
+    case mine::PatternKind::kPrecedence:
+      return StringPrintf(
+          "'%s' begins before '%s' on %.1f%% of %llu shared subjects",
+          mined.predicate.c_str(), mined.second_predicate.c_str(),
+          100.0 - violated, examined);
+  }
+  return "";
+}
+
+}  // namespace
+
 // ------------------------------------------------------------- requests
 
 Result<SolveRequest> SolveRequest::FromJson(const Json& json) {
@@ -30,12 +69,7 @@ Result<SolveRequest> SolveRequest::FromJson(const Json& json) {
   }
   req.options.derived_threshold =
       json.GetNumber("threshold", req.options.derived_threshold);
-  const int64_t max_facts =
-      json.GetInt("max_facts", static_cast<int64_t>(req.max_facts));
-  if (max_facts < 0) {
-    return Status::InvalidArgument("max_facts must be >= 0");
-  }
-  req.max_facts = static_cast<size_t>(max_facts);
+  TECORE_RETURN_NOT_OK(ReadCount(json, "max_facts", &req.max_facts));
   return req;
 }
 
@@ -81,49 +115,26 @@ Result<RulesRequest> RulesRequest::FromJson(const Json& json) {
   return req;
 }
 
-Result<SuggestRequest> SuggestRequest::FromJson(const Json& json) {
-  SuggestRequest req;
-  if (json.is_null()) return req;
-  if (!json.is_object()) {
-    return Status::InvalidArgument("request body must be a JSON object");
-  }
-  req.options.min_support = static_cast<size_t>(json.GetInt(
-      "min_support", static_cast<int64_t>(req.options.min_support)));
-  req.options.min_confidence =
-      json.GetNumber("min_confidence", req.options.min_confidence);
-  req.options.max_predicate_pairs = static_cast<size_t>(
-      json.GetInt("max_predicate_pairs",
-                  static_cast<int64_t>(req.options.max_predicate_pairs)));
-  req.options.max_subject_sample = static_cast<size_t>(
-      json.GetInt("max_subject_sample",
-                  static_cast<int64_t>(req.options.max_subject_sample)));
-  return req;
-}
-
 Result<MineRequest> MineRequest::FromJson(const Json& json) {
   MineRequest req;
   if (json.is_null()) return req;  // empty body -> defaults
   if (!json.is_object()) {
     return Status::InvalidArgument("request body must be a JSON object");
   }
-  req.options.min_support = static_cast<size_t>(json.GetInt(
-      "min_support", static_cast<int64_t>(req.options.min_support)));
-  req.options.min_confidence =
-      json.GetNumber("min_confidence", req.options.min_confidence);
-  req.options.max_patterns = static_cast<size_t>(json.GetInt(
-      "max_patterns", static_cast<int64_t>(req.options.max_patterns)));
-  req.options.max_predicate_pairs = static_cast<size_t>(
-      json.GetInt("max_predicate_pairs",
-                  static_cast<int64_t>(req.options.max_predicate_pairs)));
-  req.options.max_bucket_facts = static_cast<size_t>(
-      json.GetInt("max_bucket_facts",
-                  static_cast<int64_t>(req.options.max_bucket_facts)));
-  req.options.num_threads = static_cast<int>(
-      json.GetInt("threads", req.options.num_threads));
-  req.adopt = json.GetBool("adopt", req.adopt);
-  if (req.options.min_confidence < 0.0 || req.options.min_confidence > 1.0) {
+  mine::MiningOptions& options = req.options;
+  TECORE_RETURN_NOT_OK(ReadCount(json, "min_support", &options.min_support));
+  TECORE_RETURN_NOT_OK(
+      ReadCount(json, "max_patterns", &options.max_patterns));
+  TECORE_RETURN_NOT_OK(ReadCount(json, "max_predicate_pairs",
+                                 &options.max_predicate_pairs));
+  TECORE_RETURN_NOT_OK(
+      ReadCount(json, "max_bucket_facts", &options.max_bucket_facts));
+  options.min_confidence =
+      json.GetNumber("min_confidence", options.min_confidence);
+  if (options.min_confidence < 0.0 || options.min_confidence > 1.0) {
     return Status::InvalidArgument("min_confidence must be in [0,1]");
   }
+  req.adopt = json.GetBool("adopt", req.adopt);
   return req;
 }
 
@@ -229,16 +240,20 @@ Json CompleteJson(const Snapshot& snapshot, const std::string& prefix) {
   return out;
 }
 
-Json SuggestJson(const Snapshot& snapshot,
-                 const std::vector<core::Suggestion>& suggestions) {
+Json SuggestJson(const Snapshot& snapshot, const mine::MiningReport& report) {
   Json out = ResponseEnvelope(snapshot.version);
   Json items = Json::Array();
-  for (const core::Suggestion& s : suggestions) {
+  for (const mine::MinedRule& mined : report.rules) {
+    // Every emitted rule has at least one instance.
+    const unsigned long long examined = mined.support + mined.violations;
+    const double violation_rate = static_cast<double>(mined.violations) /
+                                  static_cast<double>(examined);
     Json entry = Json::Object();
-    entry.Set("rule", Json::Str(s.rule.ToString()));
-    entry.Set("support", Json::Int(static_cast<int64_t>(s.support)));
-    entry.Set("violation_rate", Json::Number(s.violation_rate));
-    entry.Set("rationale", Json::Str(s.rationale));
+    entry.Set("rule", Json::Str(mined.rule.ToString()));
+    entry.Set("support", Json::Int(static_cast<int64_t>(examined)));
+    entry.Set("violation_rate", Json::Number(violation_rate));
+    entry.Set("rationale",
+              Json::Str(Rationale(mined, examined, violation_rate)));
     items.Append(std::move(entry));
   }
   out.Set("num_suggestions", Json::Int(static_cast<int64_t>(items.Size())));

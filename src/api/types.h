@@ -9,7 +9,7 @@
 #include "api/registry.h"
 #include "core/conflict.h"
 #include "core/resolver.h"
-#include "core/suggest.h"
+#include "mine/miner.h"
 #include "util/json.h"
 #include "util/status.h"
 
@@ -62,18 +62,13 @@ struct RulesRequest {
   static Result<RulesRequest> FromJson(const util::Json& json);
 };
 
-/// \brief Body of `POST /v1/suggest` (all fields optional).
-struct SuggestRequest {
-  core::SuggestOptions options;
-
-  static Result<SuggestRequest> FromJson(const util::Json& json);
-};
-
-/// \brief Body of `POST /v1/kb/{name}/mine` (all fields optional).
+/// \brief Body of `POST /v1/kb/{name}/mine` and of `POST /v1/suggest`
+/// (all fields optional; a negative count is an error).
 struct MineRequest {
   mine::MiningOptions options;
   /// Install the mined rules through the normal AddRules write path
-  /// (WAL-logged, crash-safe) after mining.
+  /// (WAL-logged, crash-safe) after mining. Mine only: suggest never
+  /// adopts.
   bool adopt = false;
 
   static Result<MineRequest> FromJson(const util::Json& json);
@@ -104,9 +99,11 @@ util::Json RulesJson(const Snapshot& snapshot);
 /// \brief `GET /v1/complete?prefix=...` — predicate auto-completion.
 util::Json CompleteJson(const Snapshot& snapshot, const std::string& prefix);
 
-/// \brief `GET|POST /v1/suggest` — mined constraint suggestions.
+/// \brief `GET|POST /v1/suggest` — the mined rules as suggestions: per
+/// rule its text, `support` (instances examined), `violation_rate` and a
+/// one-line `rationale`, in the miner's ranking order.
 util::Json SuggestJson(const Snapshot& snapshot,
-                       const std::vector<core::Suggestion>& suggestions);
+                       const mine::MiningReport& report);
 
 /// \brief `POST /v1/kb/{name}/mine` — the mining report: ranked rules
 /// with evidence, exact work counters, and the canonical `.tcr` document

@@ -12,7 +12,8 @@
 //                       [--threshold 0.5] [--out repaired.tq]
 //                       [--edits script.tq]
 //   tecore-cli mine     --graph g.tq [--out rules.tcr] [--min-support N]
-//                       [--min-confidence X] [--max-patterns N] [--threads N]
+//                       [--min-confidence X] [--max-patterns N]
+//   tecore-cli suggest  --graph g.tq   (mine at the default options)
 //   tecore-cli gen      --dataset football|wikidata|example --out g.tq [--size N]
 //   tecore-cli serve    [--port 8080] [--threads N] [--kb name] [--graph g.tq]
 //                       [--rules r.tcr] [--auth-token-file f]
@@ -41,7 +42,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
-#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -78,10 +78,10 @@ int Usage() {
                " itself and emit them as a\n"
                "                     weighted .tcr rule file (--graph g.tq"
                " [--out f.tcr] [--min-support n]\n"
-               "                     [--min-confidence x] [--max-patterns n]"
-               " [--threads n]; docs/mining.md;\n"
-               "                     output is byte-identical at every"
-               " --threads value)\n"
+               "                     [--min-confidence x] [--max-patterns n];"
+               " docs/mining.md)\n"
+               "  suggest            print what mine prints at its default"
+               " options (--graph g.tq)\n"
                "  --edits f          solve, then apply the edit script"
                " ('+ fact' inserts, '- fact' retracts)\n"
                "                     and re-solve incrementally (only dirty"
@@ -113,16 +113,12 @@ int PrintVersion() {
   return 0;
 }
 
-/// Strict base-10 int flag parser; returns false on any garbage,
-/// including values outside int range.
-bool ParseIntFlag(const std::string& value, int* out) {
+/// Strict base-10 count flag parser; returns false on any garbage and on
+/// negative values (which would wrap as a size_t).
+bool ParseCountFlag(const std::string& value, size_t* out) {
   int64_t parsed = 0;
-  if (!ParseInt64(value, &parsed) ||
-      parsed < std::numeric_limits<int>::min() ||
-      parsed > std::numeric_limits<int>::max()) {
-    return false;
-  }
-  *out = static_cast<int>(parsed);
+  if (!ParseInt64(value, &parsed) || parsed < 0) return false;
+  *out = static_cast<size_t>(parsed);
   return true;
 }
 
@@ -168,6 +164,56 @@ Status LoadInputs(const std::map<std::string, std::string>& flags,
     session->AddRules(parsed);
   }
   return Status::OK();
+}
+
+/// `mine` and `suggest`: mine `--graph` and print (or write `--out`) the
+/// canonical `.tcr` document.
+int RunMine(std::map<std::string, std::string>& flags) {
+  auto graph_it = flags.find("graph");
+  if (graph_it == flags.end()) {
+    std::fprintf(stderr, "--graph is required\n");
+    return Usage();
+  }
+  mine::MiningOptions options;
+  if (flags.count("min-support") &&
+      !ParseCountFlag(flags["min-support"], &options.min_support)) {
+    std::fprintf(stderr, "invalid --min-support value '%s'\n",
+                 flags["min-support"].c_str());
+    return 2;
+  }
+  if (flags.count("min-confidence") &&
+      (!ParseDouble(flags["min-confidence"], &options.min_confidence) ||
+       options.min_confidence < 0.0 || options.min_confidence > 1.0)) {
+    std::fprintf(stderr, "invalid --min-confidence value '%s'\n",
+                 flags["min-confidence"].c_str());
+    return 2;
+  }
+  if (flags.count("max-patterns") &&
+      !ParseCountFlag(flags["max-patterns"], &options.max_patterns)) {
+    std::fprintf(stderr, "invalid --max-patterns value '%s'\n",
+                 flags["max-patterns"].c_str());
+    return 2;
+  }
+  auto graph = rdf::LoadGraphFile(graph_it->second);
+  if (!graph.ok()) {
+    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
+    return 1;
+  }
+  const mine::MiningReport report = mine::Miner(options).Mine(*graph);
+  const std::string text = mine::WriteMinedRulesText(report, options);
+  if (!flags.count("out")) {
+    std::fputs(text.c_str(), stdout);
+    return 0;
+  }
+  Status saved = util::WriteStringToFile(flags["out"], text);
+  if (!saved.ok()) {
+    std::fprintf(stderr, "%s\n", saved.ToString().c_str());
+    return 1;
+  }
+  std::printf("mined %zu rule(s) from %zu predicate(s), wrote %s\n",
+              report.rules.size(), report.predicates_profiled,
+              flags["out"].c_str());
+  return 0;
 }
 
 }  // namespace
@@ -258,9 +304,12 @@ int main(int argc, char** argv) {
     }
     const std::string dataset =
         flags.count("dataset") ? flags["dataset"] : "football";
-    const size_t size =
-        flags.count("size") ? static_cast<size_t>(std::stoull(flags["size"]))
-                            : 0;
+    size_t size = 0;
+    if (flags.count("size") && !ParseCountFlag(flags["size"], &size)) {
+      std::fprintf(stderr, "invalid --size value '%s'\n",
+                   flags["size"].c_str());
+      return 2;
+    }
     rdf::TemporalGraph graph;
     if (dataset == "football") {
       datagen::FootballDbOptions options;
@@ -304,87 +353,17 @@ int main(int argc, char** argv) {
 
   if (command == "suggest") {
     if (!ParseFlags(argc, argv, 2, {"graph"}, &flags)) return Usage();
-    Status st = LoadInputs(flags, &session, /*need_rules=*/false);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    auto suggestions = session.SuggestConstraints();
-    if (!suggestions.ok()) {
-      std::fprintf(stderr, "%s\n", suggestions.status().ToString().c_str());
-      return 1;
-    }
-    for (const core::Suggestion& s : *suggestions) {
-      std::printf("%s\n# evidence: %s\n", s.rule.ToString().c_str(),
-                  s.rationale.c_str());
-    }
-    return 0;
+    return RunMine(flags);
   }
 
   if (command == "mine") {
     if (!ParseFlags(argc, argv, 2,
                     {"graph", "out", "min-support", "min-confidence",
-                     "max-patterns", "threads"},
+                     "max-patterns"},
                     &flags)) {
       return Usage();
     }
-    auto graph_it = flags.find("graph");
-    if (graph_it == flags.end()) {
-      std::fprintf(stderr, "--graph is required\n");
-      return Usage();
-    }
-    mine::MiningOptions options;
-    if (flags.count("min-support")) {
-      int value = 0;
-      if (!ParseIntFlag(flags["min-support"], &value) || value < 0) {
-        std::fprintf(stderr, "invalid --min-support value '%s'\n",
-                     flags["min-support"].c_str());
-        return 2;
-      }
-      options.min_support = static_cast<size_t>(value);
-    }
-    if (flags.count("min-confidence") &&
-        (!ParseDouble(flags["min-confidence"], &options.min_confidence) ||
-         options.min_confidence < 0.0 || options.min_confidence > 1.0)) {
-      std::fprintf(stderr, "invalid --min-confidence value '%s'\n",
-                   flags["min-confidence"].c_str());
-      return 2;
-    }
-    if (flags.count("max-patterns")) {
-      int value = 0;
-      if (!ParseIntFlag(flags["max-patterns"], &value) || value < 0) {
-        std::fprintf(stderr, "invalid --max-patterns value '%s'\n",
-                     flags["max-patterns"].c_str());
-        return 2;
-      }
-      options.max_patterns = static_cast<size_t>(value);
-    }
-    if (flags.count("threads") &&
-        !ParseIntFlag(flags["threads"], &options.num_threads)) {
-      std::fprintf(stderr, "invalid --threads value '%s'\n",
-                   flags["threads"].c_str());
-      return 2;
-    }
-    auto graph = rdf::LoadGraphFile(graph_it->second);
-    if (!graph.ok()) {
-      std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-      return 1;
-    }
-    const mine::MiningReport report = mine::Miner(options).Mine(*graph);
-    const std::string text = mine::WriteMinedRulesText(report, options);
-    if (!flags.count("out")) {
-      std::fputs(text.c_str(), stdout);
-      return 0;
-    }
-    Status saved = util::WriteStringToFile(flags["out"], text);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-      return 1;
-    }
-    std::printf("mined %zu rule(s) from %zu predicate(s), wrote %s\n",
-                report.rules.size(), report.predicates_profiled,
-                flags["out"].c_str());
-    return 0;
+    return RunMine(flags);
   }
 
   if (command == "complete") {
@@ -451,17 +430,20 @@ int main(int argc, char** argv) {
                     &flags)) {
       return Usage();
     }
-    Status st = LoadInputs(flags, &session, /*need_rules=*/true);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
     core::ResolveOptions options;
     if (flags.count("solver") && flags["solver"] == "psl") {
       options.solver = rules::SolverKind::kPsl;
     }
-    if (flags.count("threshold")) {
-      options.derived_threshold = std::stod(flags["threshold"]);
+    if (flags.count("threshold") &&
+        !ParseDouble(flags["threshold"], &options.derived_threshold)) {
+      std::fprintf(stderr, "invalid --threshold value '%s'\n",
+                   flags["threshold"].c_str());
+      return 2;
+    }
+    Status st = LoadInputs(flags, &session, /*need_rules=*/true);
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
     }
     auto run = [&]() -> Result<core::ResolveResult> {
       if (!flags.count("edits")) return session.Resolve(options);

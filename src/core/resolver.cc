@@ -258,9 +258,6 @@ bool SameResolveConfig(const ResolveOptions& a, const ResolveOptions& b) {
       a.mln.ilp.lp.big_m == b.mln.ilp.lp.big_m &&
       a.mln.ilp.lp.eps == b.mln.ilp.lp.eps;
   const bool psl_same =
-      a.psl.squared_hinges == b.psl.squared_hinges &&
-      a.psl.threshold == b.psl.threshold && a.psl.repair == b.psl.repair &&
-      a.psl.max_repair_passes == b.psl.max_repair_passes &&
       a.psl.use_components == b.psl.use_components &&
       a.psl.admm.rho == b.psl.admm.rho &&
       a.psl.admm.max_iterations == b.psl.admm.max_iterations &&

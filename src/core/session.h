@@ -6,11 +6,12 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "core/compatibility.h"
 #include "core/conflict.h"
 #include "core/edits.h"
 #include "core/resolver.h"
-#include "core/suggest.h"
 #include "kb/statistics.h"
+#include "mine/miner.h"
 #include "rdf/graph.h"
 #include "rules/ast.h"
 #include "util/status.h"
@@ -86,9 +87,9 @@ class Session {
 
   /// \brief Mine candidate constraints from the loaded UTKG (the paper's
   /// "automatic suggestion of constraints" demonstration goal).
-  Result<std::vector<Suggestion>> SuggestConstraints(
-      const SuggestOptions& options = {}) const {
-    return snap().SuggestConstraints(options);
+  Result<mine::MiningReport> MineConstraints(
+      const mine::MiningOptions& options = {}) const {
+    return snap().MineConstraints(options);
   }
 
   /// \brief Predicate-level satisfiability pre-check of the current

@@ -11,7 +11,6 @@
 #include "rules/parser.h"
 #include "util/exact_sum.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace tecore {
 namespace mine {
@@ -34,8 +33,7 @@ struct Candidate {
 };
 
 /// Per-predicate pair statistics plus the per-subject first-interval
-/// profile the precedence pass intersects. Filled by one parallel task,
-/// merged in canonical task order.
+/// profile the precedence pass intersects. One per predicate task.
 struct PredicateProfile {
   uint64_t disjoint_support = 0;
   uint64_t disjoint_violations = 0;
@@ -192,13 +190,9 @@ MiningReport Miner::Mine(const rdf::TemporalGraph& graph) const {
   }
   report.predicates_profiled = preds.size();
 
-  util::ThreadPool pool(util::ResolveThreadCount(options_.num_threads));
-
   // ---- stage 1: per-predicate profiles, one pre-sized slot per task.
-  // Counters are order-independent sums and ExactSum is associative, so
-  // the slot contents do not depend on which executor ran the task.
   std::vector<PredicateProfile> profiles(preds.size());
-  pool.ParallelFor(preds.size(), [&](size_t pi) {
+  for (size_t pi = 0; pi < preds.size(); ++pi) {
     const PredicateTask& task = preds[pi];
     PredicateProfile& prof = profiles[pi];
     util::ExactSum disjoint_mass;
@@ -258,8 +252,6 @@ MiningReport Miner::Mine(const rdf::TemporalGraph& graph) const {
     std::sort(prof.first_begin.begin(), prof.first_begin.end());
     prof.disjoint_violation_mass = disjoint_mass.ToDouble();
     prof.functional_violation_mass = functional_mass.ToDouble();
-  });
-  for (const PredicateProfile& prof : profiles) {
     report.truncated_buckets += prof.truncated_buckets;
   }
 
@@ -284,7 +276,7 @@ MiningReport Miner::Mine(const rdf::TemporalGraph& graph) const {
   report.pairs_examined = pair_tasks.size();
 
   std::vector<PairProfile> pair_profiles(pair_tasks.size());
-  pool.ParallelFor(pair_tasks.size(), [&](size_t ti) {
+  for (size_t ti = 0; ti < pair_tasks.size(); ++ti) {
     const std::vector<std::tuple<rdf::TermId, int64_t, double>>& first =
         profiles[pair_tasks[ti].first].first_begin;
     const std::vector<std::tuple<rdf::TermId, int64_t, double>>& second =
@@ -314,7 +306,7 @@ MiningReport Miner::Mine(const rdf::TemporalGraph& graph) const {
       }
     }
     prof.violation_mass = mass.ToDouble();
-  });
+  }
 
   // ---- assemble candidates in canonical order and threshold them.
   std::vector<Candidate> candidates;

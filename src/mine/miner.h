@@ -36,12 +36,11 @@ namespace mine {
 ///
 /// Determinism contract: the mined rule list — and the canonical text
 /// `WriteMinedRulesText` renders — is a pure function of graph *content*
-/// and options. All counters are exact integers, candidates are assembled
-/// and ranked in a canonical order, and parallel mining merges per-task
-/// slots in task order, so the output bytes are identical at any
-/// `num_threads` (including 0 = auto).
+/// and options. All counters are exact integers, and candidates are
+/// assembled and ranked in a canonical order. `Mine` runs on the calling
+/// thread.
 
-/// \brief Mining thresholds and execution knobs.
+/// \brief Mining thresholds.
 struct MiningOptions {
   /// Minimum satisfying instances before a candidate is emitted.
   size_t min_support = 10;
@@ -60,9 +59,6 @@ struct MiningOptions {
   /// larger buckets are profiled for precedence but skip pair counting
   /// (the report counts them — no silent truncation).
   size_t max_bucket_facts = 512;
-  /// Executors for the profiling passes (0 = auto). Output bytes are
-  /// identical for every value.
-  int num_threads = 1;
 };
 
 /// \brief Which pattern family produced a mined rule.

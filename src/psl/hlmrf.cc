@@ -43,7 +43,7 @@ namespace {
 /// via `var_of`.
 template <typename VarOf>
 void RelaxClause(const ground::GroundClause& clause, VarOf var_of,
-                 bool squared, HlMrf* mrf) {
+                 HlMrf* mrf) {
   // Distance to satisfaction of the disjunction.
   std::vector<std::pair<int, double>> coefs;
   double offset = 1.0;
@@ -69,26 +69,25 @@ void RelaxClause(const ground::GroundClause& clause, VarOf var_of,
     pot.coefs = std::move(coefs);
     pot.offset = offset;
     pot.weight = clause.weight;
-    pot.squared = squared;
     mrf->AddPotential(std::move(pot));
   }
 }
 
 }  // namespace
 
-HlMrf BuildHlMrf(const ground::GroundNetwork& network, bool squared) {
+HlMrf BuildHlMrf(const ground::GroundNetwork& network) {
   HlMrf mrf(static_cast<int>(network.NumAtoms()));
   for (const ground::GroundClause& clause : network.clauses()) {
     RelaxClause(
         clause, [](ground::AtomId atom) { return static_cast<int>(atom); },
-        squared, &mrf);
+        &mrf);
   }
   return mrf;
 }
 
 HlMrf BuildComponentHlMrf(const ground::GroundNetwork& network,
                           ground::IdSpan<ground::AtomId> atoms,
-                          ground::IdSpan<uint32_t> clauses, bool squared) {
+                          ground::IdSpan<uint32_t> clauses) {
   HlMrf mrf(static_cast<int>(atoms.size()));
   for (uint32_t ci : clauses) {
     RelaxClause(
@@ -96,7 +95,7 @@ HlMrf BuildComponentHlMrf(const ground::GroundNetwork& network,
         [atoms](ground::AtomId atom) {
           return static_cast<int>(ground::LocalAtomIndex(atoms, atom));
         },
-        squared, &mrf);
+        &mrf);
   }
   return mrf;
 }

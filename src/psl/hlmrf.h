@@ -67,18 +67,16 @@ class HlMrf {
 ///
 /// Numerical and Allen conditions were already evaluated during grounding
 /// (that is the "numerical extension" nPSL adds on top of PSL), so every
-/// ground clause relaxes to a hinge (soft) or a linear constraint (hard).
-/// Set `squared` for squared hinges (smoother, PSL's common default is
-/// linear for MAP).
-HlMrf BuildHlMrf(const ground::GroundNetwork& network, bool squared = false);
+/// ground clause relaxes to a linear hinge (soft) or a linear constraint
+/// (hard).
+HlMrf BuildHlMrf(const ground::GroundNetwork& network);
 
 /// \brief nPSL translation of a single connected component (ascending
 /// atoms and clause indices, as ground::ComponentPartition lists them);
 /// variable i is `atoms[i]` (mirrors mln::BuildComponentWcnf).
 HlMrf BuildComponentHlMrf(const ground::GroundNetwork& network,
                           ground::IdSpan<ground::AtomId> atoms,
-                          ground::IdSpan<uint32_t> clauses,
-                          bool squared = false);
+                          ground::IdSpan<uint32_t> clauses);
 
 }  // namespace psl
 }  // namespace tecore

@@ -10,6 +10,11 @@ namespace psl {
 
 namespace {
 
+/// Soft-truth threshold for discretization.
+constexpr double kRoundingThreshold = 0.5;
+/// Passes of the greedy repair of hard clauses violated after rounding.
+constexpr int kMaxRepairPasses = 20;
+
 bool ClauseSatisfied(const ground::GroundClause& clause,
                      const std::vector<bool>& values) {
   for (int32_t lit : clause.literals) {
@@ -37,7 +42,7 @@ Result<PslSolution> PslSolver::Solve(ground::ComponentPartition* components) {
   PslSolution solution;
 
   if (!options_.use_components) {
-    HlMrf mrf = BuildHlMrf(network_, options_.squared_hinges);
+    HlMrf mrf = BuildHlMrf(network_);
     AdmmSolver admm(mrf, options_.admm);
     AdmmResult admm_result = admm.Solve();
     solution.truth_values = admm_result.x;
@@ -55,8 +60,7 @@ Result<PslSolution> PslSolver::Solve(ground::ComponentPartition* components) {
     const std::vector<uint32_t> todo = components->Unsolved();
     for (const uint32_t c : todo) {
       const ground::IdSpan<ground::AtomId> atoms = components->atoms(c);
-      HlMrf mrf = BuildComponentHlMrf(network_, atoms, components->clauses(c),
-                                      options_.squared_hinges);
+      HlMrf mrf = BuildComponentHlMrf(network_, atoms, components->clauses(c));
       AdmmSolver admm(mrf, options_.admm);
       const AdmmResult result = admm.Solve();
       ground::ComponentOutcome outcome;
@@ -95,46 +99,44 @@ Result<PslSolution> PslSolver::Solve(ground::ComponentPartition* components) {
   const size_t n = network_.NumAtoms();
   solution.atom_values.assign(n, false);
   for (size_t i = 0; i < n; ++i) {
-    solution.atom_values[i] = solution.truth_values[i] >= options_.threshold;
+    solution.atom_values[i] = solution.truth_values[i] >= kRoundingThreshold;
   }
 
   // Greedy repair: per-atom signed prior weight == cost of keeping the atom
   // "true" (negative prior) or "false" (positive prior).
-  if (options_.repair) {
-    std::vector<double> prior(n, 0.0);
+  std::vector<double> prior(n, 0.0);
+  for (const ground::GroundClause& clause : network_.clauses()) {
+    if (clause.hard || clause.literals.size() != 1) continue;
+    const int32_t lit = clause.literals[0];
+    prior[ground::LiteralAtom(lit)] +=
+        ground::LiteralSign(lit) ? clause.weight : -clause.weight;
+  }
+  for (int pass = 0; pass < kMaxRepairPasses; ++pass) {
+    size_t flips_this_pass = 0;
     for (const ground::GroundClause& clause : network_.clauses()) {
-      if (clause.hard || clause.literals.size() != 1) continue;
-      const int32_t lit = clause.literals[0];
-      prior[ground::LiteralAtom(lit)] +=
-          ground::LiteralSign(lit) ? clause.weight : -clause.weight;
-    }
-    for (int pass = 0; pass < options_.max_repair_passes; ++pass) {
-      size_t flips_this_pass = 0;
-      for (const ground::GroundClause& clause : network_.clauses()) {
-        if (!clause.hard || ClauseSatisfied(clause, solution.atom_values)) {
-          continue;
-        }
-        // Flip the literal whose flip has the lowest prior cost.
-        int32_t best_lit = clause.literals[0];
-        double best_cost = 1e300;
-        for (int32_t lit : clause.literals) {
-          const ground::AtomId atom = ground::LiteralAtom(lit);
-          // Making `lit` true means setting atom = sign(lit).
-          const double cost = ground::LiteralSign(lit)
-                                  ? -prior[atom]   // pay when prior says false
-                                  : prior[atom];   // pay when prior says true
-          if (cost < best_cost) {
-            best_cost = cost;
-            best_lit = lit;
-          }
-        }
-        solution.atom_values[ground::LiteralAtom(best_lit)] =
-            ground::LiteralSign(best_lit);
-        ++flips_this_pass;
+      if (!clause.hard || ClauseSatisfied(clause, solution.atom_values)) {
+        continue;
       }
-      solution.repair_flips += flips_this_pass;
-      if (flips_this_pass == 0) break;
+      // Flip the literal whose flip has the lowest prior cost.
+      int32_t best_lit = clause.literals[0];
+      double best_cost = 1e300;
+      for (int32_t lit : clause.literals) {
+        const ground::AtomId atom = ground::LiteralAtom(lit);
+        // Making `lit` true means setting atom = sign(lit).
+        const double cost = ground::LiteralSign(lit)
+                                ? -prior[atom]   // pay when prior says false
+                                : prior[atom];   // pay when prior says true
+        if (cost < best_cost) {
+          best_cost = cost;
+          best_lit = lit;
+        }
+      }
+      solution.atom_values[ground::LiteralAtom(best_lit)] =
+          ground::LiteralSign(best_lit);
+      ++flips_this_pass;
     }
+    solution.repair_flips += flips_this_pass;
+    if (flips_this_pass == 0) break;
   }
 
   // Score the Boolean state against the weighted ground clauses.

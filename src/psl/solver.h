@@ -16,13 +16,6 @@ namespace psl {
 /// \brief nPSL solver configuration.
 struct PslSolverOptions {
   AdmmOptions admm;
-  /// Use squared hinges (smoother, slightly slower per iteration).
-  bool squared_hinges = false;
-  /// Soft-truth threshold for discretization.
-  double threshold = 0.5;
-  /// Greedy repair of hard clauses violated after rounding.
-  bool repair = true;
-  int max_repair_passes = 20;
   /// Run ADMM per connected component instead of on the monolithic MRF.
   /// The consensus problem is separable across components, so at full
   /// convergence the optima coincide; with the tolerance-based stopping

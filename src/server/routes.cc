@@ -213,14 +213,15 @@ HttpResponse HandleSuggest(api::Engine* engine, const HttpRequest& request) {
   }
   auto body = ParseBody(request);
   if (!body.ok()) return ErrorResponse(body.status());
-  auto req = api::SuggestRequest::FromJson(*body);
+  // The mine body's miner fields; `adopt` is ignored (suggest is a read).
+  auto req = api::MineRequest::FromJson(*body);
   if (!req.ok()) return ErrorResponse(req.status());
   auto resolved = ResolveReadSnapshot(engine, request);
   if (!resolved.ok()) return ErrorResponse(resolved.status());
   const auto& snap = *resolved;
-  auto suggestions = snap->SuggestConstraints(req->options);
-  if (!suggestions.ok()) return ErrorResponse(suggestions.status());
-  return JsonResponse(200, api::SuggestJson(*snap, *suggestions));
+  auto report = snap->MineConstraints(req->options);
+  if (!report.ok()) return ErrorResponse(report.status());
+  return JsonResponse(200, api::SuggestJson(*snap, *report));
 }
 
 HttpResponse HandleMine(api::Engine* engine, const HttpRequest& request) {

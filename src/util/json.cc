@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "util/string_util.h"
 
@@ -27,6 +28,17 @@ const Json* Json::Find(std::string_view key) const {
     if (k == key) return &v;
   }
   return nullptr;
+}
+
+int64_t Json::int_value() const {
+  // Casting a double outside the int64 range is undefined behaviour.
+  // 2^63 is exact as a double; every double below it and at or above
+  // -2^63 converts.
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (std::isnan(number_)) return 0;
+  if (number_ >= kTwoTo63) return std::numeric_limits<int64_t>::max();
+  if (number_ < -kTwoTo63) return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(number_);
 }
 
 double Json::GetNumber(std::string_view key, double fallback) const {

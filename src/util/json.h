@@ -76,7 +76,9 @@ class Json {
 
   bool bool_value() const { return bool_; }
   double number_value() const { return number_; }
-  int64_t int_value() const { return static_cast<int64_t>(number_); }
+  /// Truncated toward zero and saturated to the int64 range (NaN reads
+  /// as 0): request bodies carry arbitrary numbers.
+  int64_t int_value() const;
   const std::string& string_value() const { return string_; }
 
   // ----- array -----

@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace tecore {
 namespace util {
@@ -63,27 +62,6 @@ void ThreadPool::WorkerLoop() {
       if (--in_flight_ == 0) all_done_.NotifyAll();
     }
   }
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  const size_t executors =
-      std::min(static_cast<size_t>(num_threads()), n);
-  if (executors <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // Shared atomic counter: each executor claims the next unprocessed index
-  // until the range is exhausted. Component sizes are heavy-tailed, so
-  // index-at-a-time claiming doubles as load balancing.
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  auto drain = [next, n, &fn] {
-    size_t i;
-    while ((i = next->fetch_add(1, std::memory_order_relaxed)) < n) fn(i);
-  };
-  for (size_t t = 0; t + 1 < executors; ++t) Submit(drain);
-  drain();  // the calling thread participates
-  Wait();
 }
 
 }  // namespace util

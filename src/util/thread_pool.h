@@ -19,12 +19,14 @@ int HardwareThreads();
 /// (hardware concurrency), anything else is clamped to >= 1.
 int ResolveThreadCount(int requested);
 
-/// \brief A small fixed-size thread pool with chunked self-scheduling.
+/// \brief A small fixed-size thread pool: the server's connection
+/// workers.
 ///
-/// Construction spawns `num_threads - 1` workers; the calling thread is
-/// the remaining executor and participates in ParallelFor, so
-/// ThreadPool(1) runs everything inline with zero threading overhead.
-/// Tasks must not throw (the codebase is exception-free by convention).
+/// Construction spawns `num_threads - 1` workers that drain a FIFO task
+/// queue. The count includes the constructing thread, which runs no task,
+/// so a pool needs `num_threads >= 2` for submitted tasks to run (the
+/// server pools are floored at 6). Tasks must not throw (the codebase is
+/// exception-free by convention).
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -40,13 +42,6 @@ class ThreadPool {
 
   /// \brief Block until every submitted task has finished.
   void Wait();
-
-  /// \brief Run `fn(i)` for every i in [0, n), distributing iterations
-  /// across all executors via an atomic work counter (cheap dynamic load
-  /// balancing — components have wildly varying sizes). The call returns
-  /// once every iteration has completed. `fn` may be invoked from multiple
-  /// threads concurrently but each index is processed exactly once.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:
   void WorkerLoop() TECORE_EXCLUDES(mutex_);

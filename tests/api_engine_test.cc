@@ -43,7 +43,7 @@ TEST(ApiEngine, PristineSnapshotIsVersionZero) {
   EXPECT_FALSE(
       engine.ApplyEditScript("+ a p b [1,2] .", core::ResolveOptions()).ok());
   EXPECT_FALSE(snap->DetectConflicts().ok());
-  EXPECT_FALSE(snap->SuggestConstraints().ok());
+  EXPECT_FALSE(snap->MineConstraints().ok());
 }
 
 TEST(ApiEngine, WritesBumpVersionMonotonically) {
@@ -241,6 +241,55 @@ TEST(ApiEngine, DtoJsonShapes) {
   EXPECT_FALSE(api::SolveRequest::FromJson(
                    *util::Json::Parse("{\"solver\":\"nope\"}"))
                    .ok());
+
+  // Mine and suggest bodies: counts are read as given, and a negative
+  // count is refused rather than wrapped to a huge cap.
+  auto mine = api::MineRequest::FromJson(*util::Json::Parse(
+      "{\"min_support\":3,\"max_bucket_facts\":40,\"adopt\":true}"));
+  ASSERT_TRUE(mine.ok());
+  EXPECT_EQ(mine->options.min_support, 3u);
+  EXPECT_EQ(mine->options.max_bucket_facts, 40u);
+  EXPECT_TRUE(mine->adopt);
+  auto negative = api::MineRequest::FromJson(
+      *util::Json::Parse("{\"max_bucket_facts\":-1}"));
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(api::HttpStatusFor(negative.status()), 400);
+  EXPECT_FALSE(api::MineRequest::FromJson(
+                   *util::Json::Parse("{\"min_support\":-1e300}"))
+                   .ok());
+}
+
+TEST(ApiEngine, SuggestReportsTheMinersCounts) {
+  api::Engine engine;
+  ASSERT_TRUE(engine
+                  .LoadGraphText("A playsFor X [1,5] 0.9 .\n"
+                                 "A playsFor Y [3,8] 0.6 .\n"
+                                 "A playsFor Z [9,12] 0.7 .\n"
+                                 "B playsFor X [2,6] 0.8 .\n"
+                                 "B playsFor Z [7,9] 0.7 .\n")
+                  .ok());
+  auto snap = engine.snapshot();
+  mine::MiningOptions options;
+  options.min_support = 1;
+  auto report = snap->MineConstraints(options);
+  ASSERT_TRUE(report.ok());
+  // A: X/Y overlap, X/Z and Y/Z do not; B: X/Z do not. The one overlap
+  // disagrees, so functional_playsFor has no support.
+  ASSERT_EQ(report->rules.size(), 1u);
+  const mine::MinedRule& disjoint = report->rules.front();
+  EXPECT_EQ(disjoint.rule.name, "disjoint_playsFor");
+  EXPECT_EQ(disjoint.support, 3u);
+  EXPECT_EQ(disjoint.violations, 1u);
+
+  const util::Json suggest = api::SuggestJson(*snap, *report);
+  EXPECT_EQ(suggest.GetInt("num_suggestions", -1), 1);
+  const util::Json& entry = suggest.Find("suggestions")->items().front();
+  EXPECT_EQ(entry.GetString("rule", ""), disjoint.rule.ToString());
+  EXPECT_EQ(entry.GetInt("support", -1), 4);  // instances examined
+  EXPECT_EQ(entry.GetNumber("violation_rate", -1.0), 0.25);
+  EXPECT_EQ(entry.GetString("rationale", ""),
+            "4 same-subject 'playsFor' pairs with different objects; 25.0% "
+            "overlap in time");
 }
 
 TEST(ApiEngine, PublishListenersSeeEveryVersionInOrder) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "util/string_util.h"
 
 namespace tecore {
@@ -59,6 +62,11 @@ TEST(Json, TypedAccessorsWithDefaults) {
   EXPECT_EQ(parsed->GetString("solver", "mln"), "psl");
   EXPECT_EQ(parsed->GetString("missing", "mln"), "mln");
   EXPECT_EQ(parsed->GetNumber("threads", 0.0), 4.0);
+  // Integers saturate instead of overflowing the double -> int64 cast.
+  auto huge = Json::Parse("{\"big\":1e300,\"small\":-1e300}");
+  ASSERT_TRUE(huge.ok());
+  EXPECT_EQ(huge->GetInt("big", 0), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(huge->GetInt("small", 0), std::numeric_limits<int64_t>::min());
 }
 
 TEST(Json, UnicodeEscapes) {

@@ -10,6 +10,7 @@
 #include "rules/ast.h"
 #include "rules/parser.h"
 #include "temporal/interval.h"
+#include "util/random.h"
 
 namespace tecore {
 namespace mine {
@@ -61,19 +62,75 @@ TEST(Miner, FindsBirthPrecedesPlayingOnCleanData) {
   EXPECT_EQ(FindByName(report, "precede_playsFor_birthDate"), nullptr);
 }
 
-TEST(Miner, OutputBytesIdenticalAtEveryThreadCount) {
-  rdf::TemporalGraph graph = NoisyFootball(600);
-  MiningOptions options;
-  const MiningReport base = Miner(options).Mine(graph);
-  const std::string canonical = WriteMinedRulesText(base, options);
-  EXPECT_FALSE(canonical.empty());
-  for (int threads : {2, 4, 0}) {
-    MiningOptions threaded = options;
-    threaded.num_threads = threads;
-    const MiningReport again = Miner(threaded).Mine(graph);
-    EXPECT_EQ(WriteMinedRulesText(again, threaded), canonical)
-        << "mined document differs at num_threads=" << threads;
+TEST(Miner, CleanCareersGiveHardDisjointness) {
+  datagen::FootballDbOptions gen;
+  gen.num_players = 500;
+  gen.noise_rate = 0.0;
+  rdf::TemporalGraph graph =
+      std::move(datagen::GenerateFootballDb(gen).graph);
+  const MiningReport report = Miner().Mine(graph);
+  const MinedRule* disjoint = FindByName(report, "disjoint_playsFor");
+  ASSERT_NE(disjoint, nullptr);
+  EXPECT_EQ(disjoint->violations, 0u);  // clean data: no overlaps
+  EXPECT_GT(disjoint->support, 20u);
+  EXPECT_TRUE(disjoint->rule.IsConstraint());
+  EXPECT_TRUE(disjoint->rule.hard);
+}
+
+TEST(Miner, ToleratesModerateNoise) {
+  datagen::FootballDbOptions gen;
+  gen.num_players = 500;
+  gen.noise_rate = 0.4;
+  rdf::TemporalGraph graph =
+      std::move(datagen::GenerateFootballDb(gen).graph);
+  const MiningReport report = Miner().Mine(graph);
+  const MinedRule* disjoint = FindByName(report, "disjoint_playsFor");
+  ASSERT_NE(disjoint, nullptr);
+  const double violation_rate =
+      static_cast<double>(disjoint->violations) /
+      static_cast<double>(disjoint->support + disjoint->violations);
+  EXPECT_GT(violation_rate, 0.0);  // injected overlaps
+  EXPECT_LT(violation_rate, 0.25);
+}
+
+TEST(Miner, ChaoticPredicateMinesNothing) {
+  // Random overlapping memberships with many objects: no constraint holds.
+  rdf::TemporalGraph graph;
+  Rng rng(7);
+  for (int s = 0; s < 40; ++s) {
+    for (int i = 0; i < 4; ++i) {
+      const int64_t b = rng.UniformRange(2000, 2004);  // heavy overlap
+      ASSERT_TRUE(graph
+                      .AddQuad("s" + std::to_string(s), "tag",
+                               "o" + std::to_string(rng.UniformRange(0, 9)),
+                               temporal::Interval(b, b + 5), 0.9)
+                      .ok());
+    }
   }
+  const MiningReport report = Miner().Mine(graph);
+  EXPECT_EQ(report.predicates_profiled, 1u);
+  EXPECT_GT(report.patterns_considered, 0u);
+  EXPECT_TRUE(report.rules.empty());
+}
+
+TEST(Miner, LowerMinSupportSurfacesASmallPattern) {
+  // Three disjoint spells of one subject: 3 satisfying pairs, under the
+  // default support threshold.
+  rdf::TemporalGraph graph;
+  ASSERT_TRUE(
+      graph.AddQuad("a", "memberOf", "x", temporal::Interval(0, 1), 0.9).ok());
+  ASSERT_TRUE(
+      graph.AddQuad("a", "memberOf", "y", temporal::Interval(3, 4), 0.9).ok());
+  ASSERT_TRUE(
+      graph.AddQuad("a", "memberOf", "z", temporal::Interval(6, 7), 0.9).ok());
+  EXPECT_TRUE(Miner().Mine(graph).rules.empty());
+  MiningOptions options;
+  options.min_support = 2;
+  const MiningReport report = Miner(options).Mine(graph);
+  const MinedRule* disjoint = FindByName(report, "disjoint_memberOf");
+  ASSERT_NE(disjoint, nullptr);
+  EXPECT_EQ(disjoint->support, 3u);
+  EXPECT_EQ(disjoint->violations, 0u);
 }
 
 TEST(Miner, MinedDocumentRoundTripsThroughTheParser) {

@@ -1,12 +1,10 @@
-// util::ThreadPool (the server's connection pool and the miner's
-// executors), and the PSL solver's per-component decomposition against its
-// monolithic ADMM run.
+// util::ThreadPool (the server's connection pool), and the PSL solver's
+// per-component decomposition against its monolithic ADMM run.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <vector>
 
 #include "datagen/generators.h"
 #include "ground/grounder.h"
@@ -27,16 +25,6 @@ ground::GroundingResult GroundFootball(size_t players) {
   auto result = grounder.Run();
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(*result);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  util::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  for (auto& h : hits) h = 0;
-  pool.ParallelFor(hits.size(), [&](size_t i) { ++hits[i]; });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
 }
 
 TEST(ThreadPool, SubmitAndWait) {

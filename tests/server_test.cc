@@ -664,6 +664,24 @@ TEST_F(ServerTest, MineEndpointDiscoversAndAdoptsRules) {
   EXPECT_NE(body.GetString("tcr", "").find("disjoint_playsFor"),
             std::string::npos);
   ASSERT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/miner/mine")), 405);
+  EXPECT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/miner/mine",
+                          "{\"max_bucket_facts\":-1}")),
+            400);
+
+  // Suggest runs the same pass and lists the same rules, but never
+  // installs them, even when its body asks to adopt.
+  const std::string suggested =
+      Http(port_, "POST", "/v1/kb/miner/suggest",
+           "{\"min_support\":5,\"adopt\":true}");
+  ASSERT_EQ(StatusOf(suggested), 200) << suggested;
+  const util::Json suggest = BodyOf(suggested);
+  ASSERT_EQ(suggest.GetInt("num_suggestions", -1),
+            body.GetInt("num_rules", -2));
+  EXPECT_EQ(suggest.Find("suggestions")->items().front().GetString("rule", ""),
+            top.GetString("text", "-"));
+  EXPECT_EQ(BodyOf(Http(port_, "GET", "/v1/kb/miner/rules"))
+                .GetInt("num_rules", -1),
+            0);
 
   // Adopt: the mined rules land via the normal WAL'd rule write and the
   // conflicts endpoint detects with them.
@@ -959,7 +977,7 @@ TEST_F(ServerTest, MetricsExportIncrementalInternals) {
 }
 
 TEST_F(ServerTest, RetiredThreadKeysAreIgnored) {
-  // Solve and edit bodies take no thread counts: `threads` and
+  // Solve, edit and mine bodies take no thread counts: `threads` and
   // `ground_threads` are unknown keys there. Clients that send them, the
   // service benchmark's serve_read editor among them, must get the answer
   // they get without.
@@ -974,8 +992,8 @@ TEST_F(ServerTest, RetiredThreadKeysAreIgnored) {
       "quad(x, playsFor, z, t') & y != z -> disjoint(t, t') .\"}";
   // [0] without the retired keys, [1] with them; each a solve, then an
   // edit with svcbench's serve_read body (one relocation insert, no fact
-  // lists).
-  util::Json solves[2], edits[2];
+  // lists), then a mine.
+  util::Json solves[2], edits[2], mines[2];
   for (int with_keys = 0; with_keys < 2; ++with_keys) {
     const std::string kb = with_keys ? "keys" : "plain";
     const std::string base = "/v1/kb/" + kb;
@@ -995,8 +1013,12 @@ TEST_F(ServerTest, RetiredThreadKeysAreIgnored) {
         "\"max_facts\":0" +
             extra + "}");
     ASSERT_EQ(StatusOf(edit), 200) << edit;
+    const std::string mined = Http(port_, "POST", base + "/mine",
+                                   "{\"min_support\":1" + extra + "}");
+    ASSERT_EQ(StatusOf(mined), 200) << mined;
     solves[with_keys] = BodyOf(solve);
     edits[with_keys] = BodyOf(edit);
+    mines[with_keys] = BodyOf(mined);
   }
   EXPECT_EQ(solves[0].GetInt("removed", -1), 2);  // one per player
   EXPECT_EQ(edits[0].GetInt("inserted", -1), 1);
@@ -1006,6 +1028,8 @@ TEST_F(ServerTest, RetiredThreadKeysAreIgnored) {
     EXPECT_EQ(pair[1].GetInt("kept", -1), pair[0].GetInt("kept", -2));
     EXPECT_EQ(pair[1].GetInt("removed", -1), pair[0].GetInt("removed", -2));
   }
+  EXPECT_GE(mines[0].GetInt("num_rules", -1), 1);
+  EXPECT_EQ(mines[1].GetString("tcr", "-"), mines[0].GetString("tcr", ""));
 }
 
 TEST_F(ServerTest, SseSubscriberGaugeTracksOpenStreams) {
