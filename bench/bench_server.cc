@@ -1,14 +1,14 @@
 // tecore-server throughput: requests/sec over loopback HTTP against an
 // in-process server, for a read-only workload (snapshot reads: graph
 // info, stats, completion, cached conflicts), a mixed workload (the
-// same reads while one client streams edit batches through /v1/edits),
-// and a multi-tenant workload (reads spread over 4 KBs behind one
-// registry + shared worker pool).
+// same reads while one client streams edit batches through
+// /v1/kb/default/edits), and a multi-tenant workload (reads spread over 4
+// KBs behind one registry + shared worker pool).
 //
 // The read path never takes the writer lock — the number to watch is how
 // little read throughput degrades when the mixed workload turns writes
-// on, and how little the per-KB routing layer costs relative to the
-// legacy single-KB paths. Keep-alive connections, one per client thread.
+// on, and how little spreading reads over several KBs costs relative to
+// reading one. Keep-alive connections, one per client thread.
 //
 // `--json out.json` writes the measurements machine-readably
 // (BENCH_server.json); `--smoke` shrinks the workload for CI.
@@ -105,8 +105,15 @@ class Client {
   std::string buffer_;
 };
 
-const std::vector<std::string> kReadPaths = {
-    "/v1/graph", "/v1/stats", "/v1/complete?prefix=plays", "/v1/conflicts"};
+/// The read workload's requests against KB `kb`.
+std::vector<std::string> ReadPaths(const std::string& kb) {
+  std::vector<std::string> out;
+  for (const char* endpoint :
+       {"graph", "stats", "complete?prefix=plays", "conflicts"}) {
+    out.push_back(StringPrintf("/v1/kb/%s/%s", kb.c_str(), endpoint));
+  }
+  return out;
+}
 
 /// Endpoint labels the workloads above exercise, as recorded by the
 /// server's own `tecore_http_request_duration_micros{endpoint=…}`
@@ -257,7 +264,7 @@ int main(int argc, char** argv) {
   const size_t edit_batches = smoke ? 10 : 50;
   constexpr int kTenants = 4;
 
-  // One registry: the default KB serves the legacy single-KB series, and
+  // One registry: KB "default" serves the single-KB series, and
   // kb0..kb3 serve the multi-tenant series. All engines share the
   // registry's worker pool, which also runs the HTTP connections.
   api::EngineRegistry::Options registry_options;
@@ -289,17 +296,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const std::vector<std::string> single_kb_paths = ReadPaths("default");
   BenchJson bench("server_throughput");
   std::printf("bench_server: %zu players, %zu req/client, port %d\n",
               players, requests_each, *port);
 
-  // ---- read-only scaling (legacy single-KB paths → default KB) ----
+  // ---- read-only scaling (one KB) ----
   for (int clients : {1, 2, 4}) {
     std::atomic<bool> failed{false};
     const auto base = SnapAll();
     Timer timer;
     const size_t completed =
-        RunReaders(*port, clients, requests_each, kReadPaths, &failed);
+        RunReaders(*port, clients, requests_each, single_kb_paths, &failed);
     const double ms = timer.ElapsedMillis();
     if (failed.load()) {
       std::fprintf(stderr, "read workload failed\n");
@@ -335,7 +343,7 @@ int main(int argc, char** argv) {
             "{\"script\":\"+ benchPlayer%zu playsFor team%zu "
             "[%zu,%zu] 0.8 .\\n\"}",
             b, b % 8, 1990 + b % 20, 1994 + b % 20);
-        if (client.Round("POST", "/v1/edits", script) != 200) {
+        if (client.Round("POST", "/v1/kb/default/edits", script) != 200) {
           failed.store(true);
           return;
         }
@@ -345,7 +353,7 @@ int main(int argc, char** argv) {
     });
     Timer timer;
     const size_t completed =
-        RunReaders(*port, 3, requests_each, kReadPaths, &failed);
+        RunReaders(*port, 3, requests_each, single_kb_paths, &failed);
     const double ms = timer.ElapsedMillis();
     readers_done.store(true);
     editor.join();
@@ -374,10 +382,8 @@ int main(int argc, char** argv) {
   {
     std::vector<std::string> tenant_paths;
     for (int k = 0; k < kTenants; ++k) {
-      for (const std::string& path : kReadPaths) {
-        // /v1/<ep>?q → /v1/kb/kbK/<ep>?q
-        tenant_paths.push_back(StringPrintf("/v1/kb/kb%d/%s", k,
-                                            path.substr(4).c_str()));
+      for (const std::string& path : ReadPaths(StringPrintf("kb%d", k))) {
+        tenant_paths.push_back(path);
       }
     }
     std::atomic<bool> failed{false};

@@ -18,10 +18,12 @@
 #include <sstream>
 #include <string>
 
-#include "core/session.h"
+#include "api/engine.h"
+#include "core/compatibility.h"
 #include "datagen/generators.h"
 #include "mine/miner.h"
 #include "rules/library.h"
+#include "rules/validator.h"
 #include "util/string_util.h"
 
 using namespace tecore;  // NOLINT
@@ -54,7 +56,9 @@ void PrintHelp() {
 }  // namespace
 
 int main() {
-  core::Session session;
+  // Commands read the engine's current snapshot; every write publishes a
+  // new one.
+  api::Engine engine;
   std::printf("TeCoRe constraint workbench — type 'help' for commands\n");
   std::string line;
   while (true) {
@@ -72,8 +76,9 @@ int main() {
     } else if (cmd == "load") {
       std::string path;
       in >> path;
-      Status st = session.LoadGraphFile(path);
-      std::printf("%s\n", st.ok() ? "loaded" : st.ToString().c_str());
+      auto loaded = engine.LoadGraphFile(path);
+      std::printf("%s\n",
+                  loaded.ok() ? "loaded" : loaded.status().ToString().c_str());
     } else if (cmd == "gen") {
       std::string what;
       size_t n = 0;
@@ -81,55 +86,59 @@ int main() {
       if (what == "football") {
         datagen::FootballDbOptions options;
         if (n > 0) options.num_players = n;
-        session.SetGraph(std::move(datagen::GenerateFootballDb(options).graph));
+        engine.SetGraph(std::move(datagen::GenerateFootballDb(options).graph));
       } else if (what == "wikidata") {
         datagen::WikidataOptions options;
         if (n > 0) options.target_facts = n;
-        session.SetGraph(std::move(datagen::GenerateWikidata(options).graph));
+        engine.SetGraph(std::move(datagen::GenerateWikidata(options).graph));
       } else if (what == "example") {
-        session.SetGraph(datagen::RunningExampleGraph(true));
+        engine.SetGraph(datagen::RunningExampleGraph(true));
       } else {
         std::printf("unknown dataset '%s'\n", what.c_str());
         continue;
       }
-      std::printf("generated %zu facts\n", session.graph().NumFacts());
+      std::printf("generated %zu facts\n",
+                  engine.snapshot()->graph->NumFacts());
     } else if (cmd == "stats") {
-      auto stats = session.GraphStats();
+      auto stats = engine.GraphStats();
       std::printf("%s\n", stats.ok() ? stats->ToString().c_str()
                                      : stats.status().ToString().c_str());
     } else if (cmd == "complete") {
       std::string prefix;
       in >> prefix;
-      for (const std::string& name : session.CompletePredicate(prefix)) {
+      for (const std::string& name :
+           engine.snapshot()->CompletePredicate(prefix)) {
         std::printf("  %s\n", name.c_str());
       }
     } else if (cmd == "rule") {
       std::string text;
       std::getline(in, text);
-      auto added = session.AddRulesText(text);
-      std::printf("%s\n", added.ok()
-                              ? StringPrintf("added %zu rule(s)", *added).c_str()
-                              : added.status().ToString().c_str());
+      auto added = engine.AddRulesText(text);
+      std::printf("%s\n",
+                  added.ok()
+                      ? StringPrintf("added %zu rule(s)", added->added).c_str()
+                      : added.status().ToString().c_str());
     } else if (cmd == "paper-rules") {
-      session.AddRules(*rules::PaperInferenceRules());
-      session.AddRules(*rules::PaperConstraints());
+      engine.AddRules(*rules::PaperInferenceRules());
+      engine.AddRules(*rules::PaperConstraints());
       std::printf("added f1-f3 and c1-c3\n");
     } else if (cmd == "football-rules") {
-      session.AddRules(*rules::FootballConstraints());
+      engine.AddRules(*rules::FootballConstraints());
       std::printf("added the FootballDB constraint set\n");
     } else if (cmd == "rules") {
-      std::printf("%s", session.rules().ToString().c_str());
+      std::printf("%s", engine.snapshot()->rules->ToString().c_str());
     } else if (cmd == "clear-rules") {
-      session.ClearRules();
+      engine.ClearRules();
     } else if (cmd == "suggest") {
-      auto report = session.MineConstraints();
+      auto report = engine.snapshot()->MineConstraints();
       if (!report.ok()) {
         std::printf("%s\n", report.status().ToString().c_str());
         continue;
       }
       std::printf("%s", mine::WriteMinedRulesText(*report, {}).c_str());
     } else if (cmd == "compat") {
-      core::CompatibilityReport report = session.AnalyzeRuleCompatibility();
+      core::CompatibilityReport report =
+          core::AnalyzeConstraintCompatibility(*engine.snapshot()->rules);
       if (report.possibly_consistent) {
         std::printf("constraint set is jointly realizable (predicate-level "
                     "Allen check)\n");
@@ -142,7 +151,8 @@ int main() {
       in >> which;
       rules::SolverKind solver =
           which == "psl" ? rules::SolverKind::kPsl : rules::SolverKind::kMln;
-      auto problems = session.ValidateRules(solver);
+      auto problems =
+          rules::CollectProblems(*engine.snapshot()->rules, solver);
       if (problems.empty()) {
         std::printf("all rules valid for %s\n",
                     std::string(rules::SolverKindName(solver)).c_str());
@@ -151,18 +161,20 @@ int main() {
         std::printf("  %s\n", problem.c_str());
       }
     } else if (cmd == "detect") {
-      auto report = session.DetectConflicts();
-      if (!report.ok()) {
-        std::printf("%s\n", report.status().ToString().c_str());
+      const auto snap = engine.snapshot();
+      auto detected = snap->DetectConflicts();
+      if (!detected.ok()) {
+        std::printf("%s\n", detected.status().ToString().c_str());
         continue;
       }
-      std::printf("%s", report->StatsPanel(session.rules()).c_str());
-      for (size_t i = 0; i < report->conflicts().size() && i < 5; ++i) {
+      const core::ConflictReport& report = **detected;
+      std::printf("%s", report.StatsPanel(*snap->rules).c_str());
+      for (size_t i = 0; i < report.conflicts().size() && i < 5; ++i) {
         std::printf("%s",
-                    session.DescribeConflict(report->conflicts()[i]).c_str());
+                    snap->DescribeConflict(report.conflicts()[i]).c_str());
       }
-      if (report->conflicts().size() > 5) {
-        std::printf("  ... %zu more\n", report->conflicts().size() - 5);
+      if (report.conflicts().size() > 5) {
+        std::printf("  ... %zu more\n", report.conflicts().size() - 5);
       }
     } else if (cmd == "solve") {
       std::string which;
@@ -172,18 +184,19 @@ int main() {
       options.solver =
           which == "psl" ? rules::SolverKind::kPsl : rules::SolverKind::kMln;
       options.derived_threshold = threshold;
-      auto result = session.Resolve(options);
-      if (!result.ok()) {
-        std::printf("%s\n", result.status().ToString().c_str());
+      auto solved = engine.Solve(options);
+      if (!solved.ok()) {
+        std::printf("%s\n", solved.status().ToString().c_str());
         continue;
       }
-      std::printf("%s", result->StatsPanel().c_str());
-      if (result->consistent_graph.NumFacts() <= 30) {
+      const core::ResolveResult& result = *solved->result;
+      std::printf("%s", result.StatsPanel().c_str());
+      if (result.consistent_graph.NumFacts() <= 30) {
         std::printf("consistent KG:\n");
-        for (rdf::FactId id = 0; id < result->consistent_graph.NumFacts();
+        for (rdf::FactId id = 0; id < result.consistent_graph.NumFacts();
              ++id) {
           std::printf("  %s\n",
-                      result->consistent_graph.FactToString(id).c_str());
+                      result.consistent_graph.FactToString(id).c_str());
         }
       }
     } else {

@@ -7,16 +7,16 @@
 
 #include <cstdio>
 
-#include "core/session.h"
+#include "api/engine.h"
 #include "rules/library.h"
 
 using namespace tecore;  // NOLINT
 
 int main() {
-  core::Session session;
+  api::Engine engine;
 
   // 1. Select a UTKG — temporal quads with confidences (".tq" syntax).
-  Status loaded = session.LoadGraphText(R"(
+  auto loaded = engine.LoadGraphText(R"(
     CR coach     Chelsea   [2000,2004] 0.9 .
     CR coach     Leicester [2015,2017] 0.7 .
     CR playsFor  Palermo   [1984,1986] 0.5 .
@@ -28,40 +28,45 @@ int main() {
     Napoli    locatedIn Naples        [1900,2017] 1.0 .
   )");
   if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.ToString().c_str());
+    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
   }
 
   // 2. Pick inference rules and constraints (the paper's, from the
   //    built-in library; users can write their own in the same syntax).
-  session.AddRules(*rules::PaperInferenceRules());
-  session.AddRules(*rules::PaperConstraints());
+  //    Only a durable engine can fail a rule write.
+  engine.AddRules(*rules::PaperInferenceRules());
+  engine.AddRules(*rules::PaperConstraints());
 
-  // 3. Detect conflicts, then compute the MAP repair.
-  auto report = session.DetectConflicts();
+  // 3. Detect conflicts on the current snapshot, then compute the MAP
+  //    repair.
+  const auto snap = engine.snapshot();
+  auto report = snap->DetectConflicts();
   if (!report.ok()) return 1;
-  std::printf("conflicts detected: %zu\n", report->NumConflicts());
-  for (const core::Conflict& conflict : report->conflicts()) {
-    std::printf("%s", session.DescribeConflict(conflict).c_str());
+  std::printf("conflicts detected: %zu\n", (*report)->NumConflicts());
+  for (const core::Conflict& conflict : (*report)->conflicts()) {
+    std::printf("%s", snap->DescribeConflict(conflict).c_str());
   }
 
   core::ResolveOptions options;  // defaults: exact MLN backend
-  auto result = session.Resolve(options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+  auto solved = engine.Solve(options);
+  if (!solved.ok()) {
+    std::fprintf(stderr, "%s\n", solved.status().ToString().c_str());
     return 1;
   }
 
-  // 4. Browse the result.
+  // 4. Browse the result. Its fact ids are ids of the graph published
+  //    with it.
+  const core::ResolveResult& result = *solved->result;
+  const rdf::TemporalGraph& graph = *solved->snapshot->graph;
   std::printf("\nmost probable conflict-free temporal KG:\n");
-  for (const rdf::TemporalFact& fact : result->consistent_graph.facts()) {
-    std::printf("  %s\n",
-                result->consistent_graph.FactToString(fact).c_str());
+  for (const rdf::TemporalFact& fact : result.consistent_graph.facts()) {
+    std::printf("  %s\n", result.consistent_graph.FactToString(fact).c_str());
   }
   std::printf("\nremoved as noisy:\n");
-  for (rdf::FactId id : result->removed_facts) {
-    std::printf("  %s\n", session.graph().FactToString(id).c_str());
+  for (rdf::FactId id : result.removed_facts) {
+    std::printf("  %s\n", graph.FactToString(id).c_str());
   }
-  std::printf("\n%s", result->StatsPanel().c_str());
+  std::printf("\n%s", result.StatsPanel().c_str());
   return 0;
 }

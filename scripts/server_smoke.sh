@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# tecore-server smoke: start the server on an ephemeral port, drive the
-# paper's demo workflow (load graph -> add rules -> detect -> solve ->
-# edit -> browse) over HTTP with curl — through the legacy /v1 paths and
-# the tenant-scoped /v1/kb/{name} paths — then exercise multi-KB
-# isolation, SSE subscriptions, bearer-token auth (second server
-# instance) and clean shutdown on SIGTERM. JSON shapes asserted with
-# python3.
+# tecore-server smoke: start the server on an ephemeral port, create a
+# KB and drive the paper's demo workflow (load graph -> add rules ->
+# detect -> solve -> edit -> browse) over HTTP with curl at the
+# tenant-scoped /v1/kb/{name} paths, then exercise multi-KB isolation,
+# constraint mining, SSE subscriptions, bearer-token auth (second server
+# instance), kill -9 recovery (third instance) and clean shutdown on
+# SIGTERM. JSON shapes asserted with python3.
 #
 # Usage: scripts/server_smoke.sh [path/to/tecore-server]
 set -u
@@ -76,55 +76,57 @@ assert $assertion, r
   echo "ok   $name"
 }
 
-# 1. select a UTKG (legacy single-KB path -> the default KB).
-request "POST /v1/graph" 200 \
-  "r['version'] == 1 and r['num_facts'] == 5 and r['has_graph']" \
-  -X POST "$BASE/graph" -d '{"text":"CR coach Chelsea [2000,2004] 0.9 .\nCR coach Leicester [2015,2017] 0.7 .\nCR playsFor Palermo [1984,1986] 0.5 .\nCR birthDate 1951 [1951,2017] 1.0 .\nCR coach Napoli [2001,2003] 0.6 .\n"}'
-request "GET /v1/graph" 200 "r['num_live_facts'] == 5" "$BASE/graph"
-request "GET /v1/stats" 200 "r['stats']['num_facts'] == 5" "$BASE/stats"
+# 0. a server started without --kb, --graph or --rules holds no KB, and
+# the single-KB aliases of 0.x (/v1/<endpoint>) route nowhere.
+request "GET /v1/kb (fresh server)" 200 "r['num_kbs'] == 0 and r['kbs'] == []" \
+  "$BASE/kb"
+request "GET /v1/graph (former alias)" 404 "r['error']['code'] == 'NotFound'" \
+  "$BASE/graph"
+request "POST /v1/kb demo" 201 "r['kb'] == 'demo' and r['version'] == 0" \
+  -X POST "$BASE/kb" -d '{"name":"demo"}'
+KB="$BASE/kb/demo"
 
-# Legacy paths answer with a deprecation pointer at the successor path.
-DEPRECATION="$(curl -sS -D - -o /dev/null "$BASE/graph" 2>>"$LOG" \
-               | grep -i '^Deprecation:' || true)"
-if [[ -z "$DEPRECATION" ]]; then
-  echo "FAIL legacy deprecation header missing" >&2
-  fail=1
-else
-  echo "ok   legacy Deprecation header"
-fi
+# 1. select a UTKG.
+request "POST /v1/kb/demo/graph" 200 \
+  "r['version'] == 1 and r['num_facts'] == 5 and r['has_graph']" \
+  -X POST "$KB/graph" -d '{"text":"CR coach Chelsea [2000,2004] 0.9 .\nCR coach Leicester [2015,2017] 0.7 .\nCR playsFor Palermo [1984,1986] 0.5 .\nCR birthDate 1951 [1951,2017] 1.0 .\nCR coach Napoli [2001,2003] 0.6 .\n"}'
+request "GET /v1/kb/demo/graph" 200 "r['num_live_facts'] == 5" "$KB/graph"
+request "GET /v1/kb/demo/stats" 200 "r['stats']['num_facts'] == 5" \
+  "$KB/stats"
 
 # 2. rules, with predicate auto-completion.
-request "GET /v1/complete" 200 "r['completions'] == ['coach']" \
-  "$BASE/complete?prefix=coa"
-request "POST /v1/rules" 200 "r['added'] == 1 and r['num_rules'] == 1" \
-  -X POST "$BASE/rules" -d '{"text":"c2: quad(x, coach, y, t) & quad(x, coach, z, t2) & y != z -> disjoint(t, t2) ."}'
-request "GET /v1/rules" 200 "r['rules'][0]['kind'] == 'constraint'" \
-  "$BASE/rules"
-request "GET /v1/suggest" 200 "'suggestions' in r" "$BASE/suggest"
+request "GET /v1/kb/demo/complete" 200 "r['completions'] == ['coach']" \
+  "$KB/complete?prefix=coa"
+request "POST /v1/kb/demo/rules" 200 \
+  "r['added'] == 1 and r['num_rules'] == 1" \
+  -X POST "$KB/rules" -d '{"text":"c2: quad(x, coach, y, t) & quad(x, coach, z, t2) & y != z -> disjoint(t, t2) ."}'
+request "GET /v1/kb/demo/rules" 200 "r['rules'][0]['kind'] == 'constraint'" \
+  "$KB/rules"
+request "GET /v1/kb/demo/suggest" 200 "'suggestions' in r" "$KB/suggest"
 
 # 3. compute.
-request "GET /v1/conflicts" 200 \
+request "GET /v1/kb/demo/conflicts" 200 \
   "r['num_conflicts'] == 1 and r['conflicts'][0]['rule'] == 'c2'" \
-  "$BASE/conflicts"
-request "POST /v1/solve" 200 \
+  "$KB/conflicts"
+request "POST /v1/kb/demo/solve" 200 \
   "r['feasible'] and r['removed'] == 1 and 'Napoli' in r['removed_facts'][0]" \
-  -X POST "$BASE/solve" -d '{"solver":"mln"}'
-request "POST /v1/edits" 200 \
+  -X POST "$KB/solve" -d '{"solver":"mln"}'
+request "POST /v1/kb/demo/edits" 200 \
   "r['inserted'] == 1 and r['feasible'] and r['version'] > 3" \
-  -X POST "$BASE/edits" -d '{"script":"+ CR coach Bari [2006,2008] 0.5 .\n"}'
+  -X POST "$KB/edits" -d '{"script":"+ CR coach Bari [2006,2008] 0.5 .\n"}'
 
 # 4. browse after the edit.
-request "GET /v1/stats (post-edit)" 200 "r['stats']['num_facts'] == 6" \
-  "$BASE/stats"
+request "GET /v1/kb/demo/stats (post-edit)" 200 \
+  "r['stats']['num_facts'] == 6" "$KB/stats"
 
 # 4b. observability: /metrics exposes asserted values (not just a 200).
 METRICS="$(curl -sS "http://127.0.0.1:$PORT/metrics" 2>>"$LOG")"
 # metric <series-with-labels> -> value (empty if absent)
 metric() { grep -F "$1 " <<<"$METRICS" | awk '{print $2}'; }
-if [[ "$(metric 'tecore_kb_facts{kb="default"}')" == "6" ]]; then
-  echo "ok   /metrics tecore_kb_facts{kb=default} == 6"
+if [[ "$(metric 'tecore_kb_facts{kb="demo"}')" == "6" ]]; then
+  echo "ok   /metrics tecore_kb_facts{kb=demo} == 6"
 else
-  echo "FAIL /metrics kb facts gauge: got '$(metric 'tecore_kb_facts{kb="default"}')'" >&2
+  echo "FAIL /metrics kb facts gauge: got '$(metric 'tecore_kb_facts{kb="demo"}')'" >&2
   fail=1
 fi
 GRAPH_2XX="$(metric 'tecore_http_requests_total{endpoint="graph",status="2xx"}')"
@@ -142,10 +144,10 @@ else
   fail=1
 fi
 # The access log (stderr) carries one structured line per request.
-if grep -qE 'method=POST path=/v1/solve status=200 bytes=[0-9]+ micros=[0-9]+ request_id=r-' "$LOG"; then
-  echo "ok   access log line for POST /v1/solve"
+if grep -qE 'method=POST path=/v1/kb/demo/solve status=200 bytes=[0-9]+ micros=[0-9]+ request_id=r-' "$LOG"; then
+  echo "ok   access log line for POST /v1/kb/demo/solve"
 else
-  echo "FAIL access log missing structured line for POST /v1/solve" >&2
+  echo "FAIL access log missing structured line for POST /v1/kb/demo/solve" >&2
   fail=1
 fi
 
@@ -157,19 +159,19 @@ request "POST /v1/kb beta" 201 "r['kb'] == 'beta'" \
 request "POST /v1/kb duplicate" 409 "r['error']['code'] == 'AlreadyExists'" \
   -X POST "$BASE/kb" -d '{"name":"alpha"}'
 request "GET /v1/kb" 200 \
-  "r['num_kbs'] == 3 and [k['kb'] for k in r['kbs']] == ['alpha','beta','default']" \
+  "r['num_kbs'] == 3 and [k['kb'] for k in r['kbs']] == ['alpha','beta','demo']" \
   "$BASE/kb"
 request "POST /v1/kb/alpha/graph" 200 "r['num_facts'] == 2" \
   -X POST "$BASE/kb/alpha/graph" -d '{"text":"a p b [1,2] 0.9 .\na p c [3,4] 0.8 .\n"}'
 request "POST /v1/kb/beta/graph" 200 "r['num_facts'] == 1" \
   -X POST "$BASE/kb/beta/graph" -d '{"text":"x q y [1,9] 0.5 .\n"}'
-# Isolation: fact counts differ per KB; the default KB is untouched.
+# Isolation: fact counts differ per KB; the demo KB is untouched.
 request "GET /v1/kb/alpha/graph (isolated)" 200 \
   "r['num_facts'] == 2 and r['version'] == 1" "$BASE/kb/alpha/graph"
 request "GET /v1/kb/beta/graph (isolated)" 200 \
   "r['num_facts'] == 1 and r['version'] == 1" "$BASE/kb/beta/graph"
-request "GET /v1/graph (default isolated)" 200 "r['num_facts'] == 6" \
-  "$BASE/graph"
+request "GET /v1/kb/demo/graph (isolated)" 200 "r['num_facts'] == 6" \
+  "$KB/graph"
 
 # 5b. constraint mining: mine rules from a KB's own facts (read-only),
 # adopt them through the rule write path, then detect with them.
@@ -212,10 +214,18 @@ request "GET /v1/kb/beta/graph (deleted)" 404 \
 # Error paths: the uniform envelope everywhere.
 request "404" 404 "r['error']['code'] == 'NotFound'" "$BASE/nope"
 request "405" 405 "r['error']['code'] == 'MethodNotAllowed'" \
-  -X DELETE "$BASE/solve"
+  -X DELETE "$KB/solve"
+ALLOW="$(curl -sS -D - -o /dev/null -X DELETE "$KB/solve" 2>>"$LOG" \
+         | tr -d '\r' | grep -i '^Allow:' || true)"
+if [[ "$ALLOW" == "Allow: POST" ]]; then
+  echo "ok   405 Allow header from the route table"
+else
+  echo "FAIL 405 Allow header: got '$ALLOW'" >&2
+  fail=1
+fi
 request "400 bad json" 400 \
   "r['error']['code'] in ('ParseError','InvalidArgument')" \
-  -X POST "$BASE/graph" -d '{oops'
+  -X POST "$KB/graph" -d '{oops'
 
 # 6. bearer-token auth on a second server instance: a service token plus
 # one per-KB token scoped to KB 'alpha'.
@@ -236,7 +246,7 @@ else
   request "auth: 403 wrong token" 403 \
     "r['error']['code'] == 'PermissionDenied'" \
     -H 'Authorization: Bearer wrong' "$ABASE/kb"
-  request "auth: 200 right token" 200 "r['num_kbs'] == 1" \
+  request "auth: 200 right token" 200 "r['num_kbs'] == 0" \
     -H 'Authorization: Bearer smoke-secret' "$ABASE/kb"
   # The per-KB token reaches its own KB and nothing else.
   request "auth: create alpha (service token)" 201 "r['kb'] == 'alpha'" \
@@ -251,6 +261,10 @@ else
   request "auth: kb token denied admin" 403 \
     "r['error']['code'] == 'PermissionDenied'" \
     -H 'Authorization: Bearer alpha-tok' "$ABASE/kb"
+  # A former alias is unrouted, so admin scope: 403, never a revealing 404.
+  request "auth: kb token denied former alias" 403 \
+    "r['error']['code'] == 'PermissionDenied'" \
+    -H 'Authorization: Bearer alpha-tok' "$ABASE/graph"
   # /metrics is auth-exempt: scrapers hold no tokens.
   AUTH_METRICS_STATUS="$(curl -sS -o /dev/null -w '%{http_code}' \
     "http://127.0.0.1:$AUTH_PORT/metrics" 2>>"$LOG")"
@@ -264,9 +278,10 @@ else
 fi
 
 # 7. durability: a --data-dir server killed with -9 must come back with
-# every acknowledged write (WAL + checkpoint recovery).
+# every acknowledged write (WAL + checkpoint recovery). --kb creates the
+# KB at the first start; the restart holds exactly what it recovered.
 DUR_LOG="$WORKDIR/server-durable.log"
-"$SERVER" --port 0 --data-dir "$WORKDIR/data" >"$DUR_LOG" 2>&1 &
+"$SERVER" --port 0 --data-dir "$WORKDIR/data" --kb default >"$DUR_LOG" 2>&1 &
 DUR_PID=$!
 DUR_PORT="$(wait_port "$DUR_LOG")"
 if [[ -z "$DUR_PORT" ]]; then
@@ -299,6 +314,8 @@ else
     fi
     request "durable: state survived kill -9" 200 \
       "r['num_facts'] == 2 and r['version'] == 2" "$DBASE/kb/default/graph"
+    request "durable: restart holds only recovered KBs" 200 \
+      "[k['kb'] for k in r['kbs']] == ['default']" "$DBASE/kb"
     # The restarted process counted exactly one storage recovery.
     DUR_METRICS="$(curl -sS "http://127.0.0.1:$DUR_PORT/metrics" 2>>"$LOG")"
     if grep -qF 'tecore_storage_recoveries_total 1' <<<"$DUR_METRICS"; then
@@ -333,4 +350,4 @@ if [[ "$fail" -ne 0 ]]; then
   cat "$LOG" >&2
   exit 1
 fi
-echo "server smoke passed (legacy + tenant endpoints, isolation, SSE, auth, metrics, durability, shutdown)"
+echo "server smoke passed (tenant endpoints, isolation, mining, SSE, auth, metrics, durability, shutdown)"

@@ -14,19 +14,6 @@ namespace api {
 
 namespace {
 
-/// Result-relevant equality of grounding options. Gate for the snapshot's
-/// compute-once conflict cache.
-bool SameDetectConfig(const ground::GroundingOptions& a,
-                      const ground::GroundingOptions& b) {
-  return a.max_rounds == b.max_rounds && a.max_atoms == b.max_atoms &&
-         a.max_clauses == b.max_clauses &&
-         a.derived_prior_weight == b.derived_prior_weight &&
-         a.add_evidence_priors == b.add_evidence_priors &&
-         a.fact_weighting == b.fact_weighting &&
-         a.evaluate_conditions_early == b.evaluate_conditions_early &&
-         a.semi_naive == b.semi_naive;
-}
-
 /// Lexical names of every predicate mentioned by a rule atom (bodies and
 /// quad heads). Returns false when some atom's predicate is a variable —
 /// such a rule can match any predicate, so predicate-disjointness reasoning
@@ -87,33 +74,26 @@ std::vector<std::string> Snapshot::CompletePredicate(
   return out;
 }
 
-Result<std::shared_ptr<const core::ConflictReport>> Snapshot::DetectConflicts(
-    const ground::GroundingOptions& grounding) const {
+Result<std::shared_ptr<const core::ConflictReport>> Snapshot::DetectConflicts()
+    const {
   if (!graph) return Status::InvalidArgument("no graph loaded");
   // Detection only *reads* the frozen graph apart from thread-safe term
   // interning, so running it on the const snapshot graph is sound; the
   // detector's signature is non-const because the grounder shares it with
   // mutating pipelines.
   rdf::TemporalGraph* g = const_cast<rdf::TemporalGraph*>(graph.get());
-  const bool cacheable = SameDetectConfig(grounding, detect_grounding_);
-  if (cacheable) {
-    util::MutexLock lock(conflict_mutex_);
-    if (conflict_status_.has_value()) {
-      if (!conflict_status_->ok()) return *conflict_status_;
-      return conflict_report_;
-    }
-    core::ConflictDetector detector(g, *rules, grounding);
-    auto report = detector.Detect();
-    conflict_status_ = report.ok() ? Status::OK() : report.status();
-    if (!report.ok()) return report.status();
-    conflict_report_ =
-        std::make_shared<const core::ConflictReport>(std::move(*report));
+  util::MutexLock lock(conflict_mutex_);
+  if (conflict_status_.has_value()) {
+    if (!conflict_status_->ok()) return *conflict_status_;
     return conflict_report_;
   }
-  core::ConflictDetector detector(g, *rules, grounding);
-  TECORE_ASSIGN_OR_RETURN(report, detector.Detect());
-  return std::shared_ptr<const core::ConflictReport>(
-      std::make_shared<const core::ConflictReport>(std::move(report)));
+  core::ConflictDetector detector(g, *rules);
+  auto report = detector.Detect();
+  conflict_status_ = report.ok() ? Status::OK() : report.status();
+  if (!report.ok()) return report.status();
+  conflict_report_ =
+      std::make_shared<const core::ConflictReport>(std::move(*report));
+  return conflict_report_;
 }
 
 std::string Snapshot::DescribeConflict(const core::Conflict& conflict) const {
@@ -152,7 +132,6 @@ Engine::Engine(Options options) : options_(std::move(options)) {
   auto snap = std::make_shared<Snapshot>();
   snap->rules = std::make_shared<const rules::RuleSet>();
   snap->predicates = std::make_shared<const std::vector<std::string>>();
-  snap->detect_grounding_ = options_.detect_grounding;
   util::MutexLock lock(snapshot_mutex_);
   snapshot_ = std::move(snap);
   retained_.push_back(snapshot_);
@@ -283,7 +262,6 @@ std::shared_ptr<const Snapshot> Engine::Publish(
   snap->rules = published_rules_;
   snap->result = std::move(result);
   snap->result_options = result_options;
-  snap->detect_grounding_ = options_.detect_grounding;
   if (touched_predicates != nullptr) {
     // Publish the write's predicate footprint for filtered subscribers
     // (null stays null: unknown impact must match every filter).
@@ -430,28 +408,16 @@ void Engine::AdoptGraphLocked() {
 
 Result<Engine::RulesOutcome> Engine::AddRulesText(std::string_view text) {
   TECORE_ASSIGN_OR_RETURN(parsed, rules::ParseRules(text));
-  RulesOutcome outcome;
-  outcome.added = parsed.Size();
-  util::MutexLock lock(writer_mutex_);
-  // Merge into a copy so a failed WAL append leaves rules_ untouched. The
-  // log stores the full replacement set (rule writes are rare and rule
-  // sets small), so replay just adopts the latest record.
-  rules::RuleSet merged = rules_;
-  merged.Merge(parsed);
-  TECORE_RETURN_NOT_OK(
-      LogRecord(storage::WalRecordType::kRulesSet, merged.ToString()));
-  rules_ = std::move(merged);
-  published_rules_.reset();
-  incremental_.reset();
-  outcome.snapshot =
-      Publish(nullptr, core::ResolveOptions(), /*graph_changed=*/false);
-  MaybeCheckpoint();
-  return outcome;
+  TECORE_ASSIGN_OR_RETURN(snapshot, AddRules(parsed));
+  return RulesOutcome{parsed.Size(), std::move(snapshot)};
 }
 
 Result<std::shared_ptr<const Snapshot>> Engine::AddRules(
     const rules::RuleSet& rules) {
   util::MutexLock lock(writer_mutex_);
+  // Merge into a copy so a failed WAL append leaves rules_ untouched. The
+  // log stores the full replacement set (rule writes are rare and rule
+  // sets small), so replay just adopts the latest record.
   rules::RuleSet merged = rules_;
   merged.Merge(rules);
   TECORE_RETURN_NOT_OK(

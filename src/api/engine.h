@@ -82,12 +82,10 @@ class Snapshot {
   /// `prefix` (the Constraints Editor's auto-completion).
   std::vector<std::string> CompletePredicate(std::string_view prefix) const;
 
-  /// \brief Conflict detection against this snapshot. The report for
-  /// `grounding` options equal to the engine's detection defaults is
-  /// computed once and cached (subsequent calls are O(1)); custom options
-  /// compute a fresh report. Thread-safe.
-  Result<std::shared_ptr<const core::ConflictReport>> DetectConflicts(
-      const ground::GroundingOptions& grounding = {}) const;
+  /// \brief Conflict detection against this snapshot, under the default
+  /// grounding options. The report is computed once and cached
+  /// (subsequent calls are O(1)). Thread-safe.
+  Result<std::shared_ptr<const core::ConflictReport>> DetectConflicts() const;
 
   /// \brief Render one conflict with its facts (results browser).
   std::string DescribeConflict(const core::Conflict& conflict) const;
@@ -102,10 +100,7 @@ class Snapshot {
  private:
   friend class Engine;
 
-  /// Grounding options the cached conflict path was published with.
-  ground::GroundingOptions detect_grounding_;
-
-  // Lazy conflict-report cache (default detection options only).
+  // Lazy conflict-report cache.
   mutable util::Mutex conflict_mutex_;
   mutable std::shared_ptr<const core::ConflictReport> conflict_report_
       TECORE_GUARDED_BY(conflict_mutex_);
@@ -155,8 +150,6 @@ struct EditOutcome {
 class Engine {
  public:
   struct Options {
-    /// Grounding options used by the cached conflict-detection path.
-    ground::GroundingOptions detect_grounding;
     /// How many recent snapshots stay reachable through `SnapshotAt` /
     /// `RetainedSince` (time-travel reads, SSE resume). Retention is
     /// near-free under copy-on-write chunk sharing — a retained version

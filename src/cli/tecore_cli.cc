@@ -49,7 +49,6 @@
 
 #include "api/engine.h"
 #include "api/version.h"
-#include "core/session.h"
 #include "datagen/generators.h"
 #include "mine/miner.h"
 #include "rdf/io.h"
@@ -149,19 +148,19 @@ bool ParseFlags(int argc, char** argv, int first,
 }
 
 Status LoadInputs(const std::map<std::string, std::string>& flags,
-                  core::Session* session, bool need_rules) {
+                  api::Engine* engine, bool need_rules) {
   auto graph_it = flags.find("graph");
   if (graph_it == flags.end()) {
     return Status::InvalidArgument("--graph is required");
   }
-  TECORE_RETURN_NOT_OK(session->LoadGraphFile(graph_it->second));
+  TECORE_RETURN_NOT_OK(engine->LoadGraphFile(graph_it->second).status());
   if (need_rules) {
     auto rules_it = flags.find("rules");
     if (rules_it == flags.end()) {
       return Status::InvalidArgument("--rules is required");
     }
     TECORE_ASSIGN_OR_RETURN(parsed, rules::LoadRulesFile(rules_it->second));
-    session->AddRules(parsed);
+    TECORE_RETURN_NOT_OK(engine->AddRules(parsed).status());
   }
   return Status::OK();
 }
@@ -296,7 +295,7 @@ int main(int argc, char** argv) {
   }
 
   std::map<std::string, std::string> flags;
-  core::Session session;
+  api::Engine engine;
 
   if (command == "gen") {
     if (!ParseFlags(argc, argv, 2, {"dataset", "size", "out"}, &flags)) {
@@ -341,12 +340,12 @@ int main(int argc, char** argv) {
 
   if (command == "stats") {
     if (!ParseFlags(argc, argv, 2, {"graph"}, &flags)) return Usage();
-    Status st = LoadInputs(flags, &session, /*need_rules=*/false);
+    Status st = LoadInputs(flags, &engine, /*need_rules=*/false);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    auto stats = session.GraphStats();
+    auto stats = engine.GraphStats();
     std::printf("%s\n", stats->ToString().c_str());
     return 0;
   }
@@ -370,14 +369,13 @@ int main(int argc, char** argv) {
     if (!ParseFlags(argc, argv, 2, {"graph", "prefix"}, &flags)) {
       return Usage();
     }
-    Status st = LoadInputs(flags, &session, false);
+    Status st = LoadInputs(flags, &engine, false);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    for (const std::string& name :
-         session.CompletePredicate(flags.count("prefix") ? flags["prefix"]
-                                                         : "")) {
+    for (const std::string& name : engine.snapshot()->CompletePredicate(
+             flags.count("prefix") ? flags["prefix"] : "")) {
       std::printf("%s\n", name.c_str());
     }
     return 0;
@@ -410,17 +408,18 @@ int main(int argc, char** argv) {
     if (!ParseFlags(argc, argv, 2, {"graph", "rules"}, &flags)) {
       return Usage();
     }
-    Status st = LoadInputs(flags, &session, /*need_rules=*/true);
+    Status st = LoadInputs(flags, &engine, /*need_rules=*/true);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    auto report = session.DetectConflicts();
+    const auto snap = engine.snapshot();
+    auto report = snap->DetectConflicts();
     if (!report.ok()) {
       std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
       return 1;
     }
-    std::printf("%s", report->StatsPanel(session.rules()).c_str());
+    std::printf("%s", (*report)->StatsPanel(*snap->rules).c_str());
     return 0;
   }
 
@@ -440,38 +439,42 @@ int main(int argc, char** argv) {
                    flags["threshold"].c_str());
       return 2;
     }
-    Status st = LoadInputs(flags, &session, /*need_rules=*/true);
+    Status st = LoadInputs(flags, &engine, /*need_rules=*/true);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    auto run = [&]() -> Result<core::ResolveResult> {
-      if (!flags.count("edits")) return session.Resolve(options);
-      // The mutable-graph parse path is gone: read the script and let the
-      // engine parse+apply it atomically under its writer lock.
+    auto run = [&]() -> Result<std::shared_ptr<const core::ResolveResult>> {
+      if (!flags.count("edits")) {
+        TECORE_ASSIGN_OR_RETURN(solved, engine.Solve(options));
+        return solved.result;
+      }
+      // The engine parses and applies the script atomically under its
+      // writer lock, seeding the incremental state with a full solve.
       TECORE_ASSIGN_OR_RETURN(script,
                               util::ReadFileToString(flags["edits"]));
       std::printf("applying edit script %s (incremental re-solve)\n",
                   flags["edits"].c_str());
-      return session.ApplyEditScript(script, options);
+      TECORE_ASSIGN_OR_RETURN(edited, engine.ApplyEditScript(script, options));
+      return edited.result;
     };
-    auto result = run();
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    auto solved = run();
+    if (!solved.ok()) {
+      std::fprintf(stderr, "%s\n", solved.status().ToString().c_str());
       return 1;
     }
-    std::printf("%s", result->StatsPanel().c_str());
+    const core::ResolveResult& result = **solved;
+    std::printf("%s", result.StatsPanel().c_str());
     if (flags.count("out")) {
-      Status saved =
-          rdf::SaveGraphFile(result->consistent_graph, flags["out"]);
+      Status saved = rdf::SaveGraphFile(result.consistent_graph, flags["out"]);
       if (!saved.ok()) {
         std::fprintf(stderr, "%s\n", saved.ToString().c_str());
         return 1;
       }
       std::printf("wrote repaired KG (%zu facts) to %s\n",
-                  result->consistent_graph.NumFacts(), flags["out"].c_str());
+                  result.consistent_graph.NumFacts(), flags["out"].c_str());
     }
-    return result->feasible ? 0 : 1;
+    return result.feasible ? 0 : 1;
   }
 
   std::fprintf(stderr, "unknown subcommand '%s'\n", command.c_str());

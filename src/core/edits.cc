@@ -1,8 +1,6 @@
 #include "core/edits.h"
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 
 #include "rdf/io.h"
@@ -45,17 +43,6 @@ Result<std::vector<GraphEdit>> ParseEditScript(std::string_view text,
     edits.push_back(edit);
   }
   return edits;
-}
-
-Result<std::vector<GraphEdit>> LoadEditScriptFile(const std::string& path,
-                                                  rdf::TemporalGraph* graph) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open edit script: " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseEditScript(buf.str(), graph);
 }
 
 namespace {

@@ -39,10 +39,6 @@ struct EditApplication {
 Result<std::vector<GraphEdit>> ParseEditScript(std::string_view text,
                                                rdf::TemporalGraph* graph);
 
-/// \brief Load an edit script from a file.
-Result<std::vector<GraphEdit>> LoadEditScriptFile(const std::string& path,
-                                                  rdf::TemporalGraph* graph);
-
 /// \brief Check that the whole batch would apply cleanly to `graph`
 /// without mutating anything: every insert confidence is in (0,1] and
 /// every retraction matches at least one fact live at its point in the

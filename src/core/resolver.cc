@@ -214,29 +214,6 @@ Result<ResolveResult> IncrementalResolver::ApplyEdits(
   return std::move(result);
 }
 
-ResolveResult ResolveResult::Clone() const {
-  ResolveResult out;
-  out.kept_facts = kept_facts;
-  out.removed_facts = removed_facts;
-  out.derived_facts = derived_facts;
-  out.derived_below_threshold = derived_below_threshold;
-  out.consistent_graph = consistent_graph.Clone();
-  out.solver_name = solver_name;
-  out.feasible = feasible;
-  out.optimal = optimal;
-  out.objective = objective;
-  out.ground_atoms = ground_atoms;
-  out.ground_clauses = ground_clauses;
-  out.num_components = num_components;
-  out.largest_component = largest_component;
-  out.ground_time_ms = ground_time_ms;
-  out.solve_time_ms = solve_time_ms;
-  out.total_time_ms = total_time_ms;
-  out.spliced_components = spliced_components;
-  out.dirty_components = dirty_components;
-  return out;
-}
-
 bool SameResolveConfig(const ResolveOptions& a, const ResolveOptions& b) {
   const bool mln_same =
       a.mln.backend == b.mln.backend &&

@@ -33,7 +33,7 @@ struct ResolveOptions {
 /// \brief Result-relevant equality of resolve configurations: true when a
 /// result computed under `a` is reusable for a request under `b` (every
 /// knob that can change a solver's output is compared). Gates the
-/// incremental-state reuse in Session/Engine and the snapshot solve cache.
+/// engine's incremental-state reuse and its snapshot solve cache.
 bool SameResolveConfig(const ResolveOptions& a, const ResolveOptions& b);
 
 /// \brief A fact derived by the inference rules during MAP.
@@ -77,11 +77,6 @@ struct ResolveResult {
 
   /// \brief Statistics panel like the demo UI's results screen (Fig. 8).
   std::string StatsPanel() const;
-
-  /// \brief Deep copy. ResolveResult is move-only because
-  /// `consistent_graph` is; this clones the graph id-preservingly so
-  /// by-value callers (Session) can copy out of a shared snapshot.
-  ResolveResult Clone() const;
 };
 
 /// \brief TeCoRe's resolution pipeline: map(θ(G), F ∪ C).

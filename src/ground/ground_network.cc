@@ -417,17 +417,5 @@ std::string GroundNetwork::AtomToString(AtomId id,
                       a.is_evidence ? "" : "*");
 }
 
-std::string GroundNetwork::ClauseToString(const GroundClause& clause,
-                                          const rdf::Dictionary& dict) const {
-  std::string out = clause.hard ? "[hard] " : StringPrintf("[%.3f] ", clause.weight);
-  for (size_t i = 0; i < clause.literals.size(); ++i) {
-    if (i > 0) out += " v ";
-    int32_t lit = clause.literals[i];
-    if (!LiteralSign(lit)) out += "!";
-    out += AtomToString(LiteralAtom(lit), dict);
-  }
-  return out;
-}
-
 }  // namespace ground
 }  // namespace tecore

@@ -202,9 +202,6 @@ class GroundNetwork {
 
   /// \brief Render one atom using a dictionary.
   std::string AtomToString(AtomId id, const rdf::Dictionary& dict) const;
-  /// \brief Render one clause using a dictionary.
-  std::string ClauseToString(const GroundClause& clause,
-                             const rdf::Dictionary& dict) const;
 
  private:
   struct QuadKey {

@@ -27,16 +27,6 @@ double HlMrf::Energy(const std::vector<double>& x) const {
   return energy;
 }
 
-double HlMrf::ConstraintViolation(const std::vector<double>& x) const {
-  double violation = 0.0;
-  for (const HardLinearConstraint& con : constraints_) {
-    double value = con.offset;
-    for (const auto& [v, c] : con.coefs) value += c * x[static_cast<size_t>(v)];
-    violation += std::max(0.0, value);
-  }
-  return violation;
-}
-
 namespace {
 
 /// Relax one ground clause into `mrf`, mapping each atom to a variable

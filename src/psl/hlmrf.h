@@ -54,9 +54,6 @@ class HlMrf {
   /// \brief Total weighted hinge energy at `x`.
   double Energy(const std::vector<double>& x) const;
 
-  /// \brief Sum of hard-constraint violations max(0, a^T x + b) at `x`.
-  double ConstraintViolation(const std::vector<double>& x) const;
-
  private:
   int num_vars_ = 0;
   std::vector<HingePotential> potentials_;

@@ -1,7 +1,5 @@
 #include "rules/ast.h"
 
-#include <fstream>
-
 #include "util/string_util.h"
 
 namespace tecore {
@@ -74,15 +72,6 @@ std::string RuleSet::ToString() const {
 }
 
 std::string WriteRulesText(const RuleSet& rules) { return rules.ToString(); }
-
-Status SaveRulesFile(const RuleSet& rules, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::IoError("cannot open file for writing: " + path);
-  }
-  out << WriteRulesText(rules);
-  return out.good() ? Status::OK() : Status::IoError("write failed: " + path);
-}
 
 }  // namespace rules
 }  // namespace tecore

@@ -92,9 +92,6 @@ struct RuleSet {
 /// bit-identically.
 std::string WriteRulesText(const RuleSet& rules);
 
-/// \brief Write `WriteRulesText(rules)` to `path`.
-Status SaveRulesFile(const RuleSet& rules, const std::string& path);
-
 }  // namespace rules
 }  // namespace tecore
 

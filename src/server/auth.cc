@@ -60,16 +60,6 @@ Status ExtractBearerToken(const HttpRequest& request,
 
 }  // namespace
 
-Status CheckAuth(std::string_view token, const HttpRequest& request) {
-  if (token.empty()) return Status::OK();  // auth disabled
-  std::string presented;
-  TECORE_RETURN_NOT_OK(ExtractBearerToken(request, &presented));
-  if (!ConstantTimeEquals(presented, token)) {
-    return Status::PermissionDenied("invalid token");
-  }
-  return Status::OK();
-}
-
 Result<KbTokenMap> LoadKbTokensFile(const std::string& path) {
   TECORE_ASSIGN_OR_RETURN(contents, util::ReadFileToString(path));
   KbTokenMap tokens;

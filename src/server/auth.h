@@ -29,12 +29,6 @@ Result<std::string> LoadAuthTokenFile(const std::string& path);
 /// equality itself) the token length.
 bool ConstantTimeEquals(std::string_view a, std::string_view b);
 
-/// \brief Authenticate one request against `token` (empty = auth off).
-/// OK when authorized; Unauthenticated (HTTP 401) when the Authorization
-/// header is missing or not a Bearer scheme; PermissionDenied (HTTP 403)
-/// when the presented token is wrong.
-Status CheckAuth(std::string_view token, const HttpRequest& request);
-
 /// \brief Per-KB tokens (`--kb-tokens-file`): KB name → bearer token.
 /// std::map so iteration (startup log, tests) is deterministic.
 using KbTokenMap = std::map<std::string, std::string>;
@@ -47,7 +41,7 @@ Result<KbTokenMap> LoadKbTokensFile(const std::string& path);
 /// \brief What a request is allowed to touch, derived from its path.
 /// `admin` covers tenant lifecycle (list/create/delete) and unrouted
 /// paths; otherwise `kb` names the one tenant the request reads or
-/// writes (legacy paths resolve to the default KB).
+/// writes.
 struct AuthScope {
   bool admin = false;
   std::string kb;

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "util/string_util.h"
@@ -62,6 +63,18 @@ const char* ReasonPhrase(int status) {
     case 504: return "Gateway Timeout";
     default: return "Unknown";
   }
+}
+
+/// A refusal in the uniform error envelope, for requests rejected before
+/// they reach a handler.
+HttpResponse ErrorReply(int status, const char* code,
+                        const std::string& message) {
+  HttpResponse response;
+  response.status = status;
+  response.body =
+      StringPrintf("{\"error\":{\"code\":\"%s\",\"message\":\"%s\"}}\n",
+                   code, message.c_str());
+  return response;
 }
 
 bool SendAll(int fd, std::string_view data) {
@@ -266,31 +279,38 @@ void HttpServer::ServeConnection(int fd) {
     bool keep_alive = true;
     ReadError error = ReadError::kNone;
     if (!ReadRequest(fd, &request, &keep_alive, &buffer, &error)) {
-      // Both error replies close the connection: after refusing a body we
-      // never read, the stream position is unknowable.
-      if (error == ReadError::kUnsupported) {
-        HttpResponse response;
-        response.status = 501;
-        response.body =
-            "{\"error\":{\"code\":\"Unsupported\",\"message\":"
-            "\"unsupported Transfer-Encoding; send a Content-Length or "
-            "chunked body\"}}\n";
-        WriteResponse(fd, response, /*keep_alive=*/false);
-      } else if (error == ReadError::kTooLarge) {
-        HttpResponse response;
-        response.status = 413;
-        response.body = StringPrintf(
-            "{\"error\":{\"code\":\"PayloadTooLarge\",\"message\":"
-            "\"request body exceeds the %zu-byte limit\"}}\n",
-            options_.max_body_bytes);
-        WriteResponse(fd, response, /*keep_alive=*/false);
-      } else if (error == ReadError::kHeadersTooLarge) {
-        HttpResponse response;
-        response.status = 431;
-        response.body = StringPrintf(
-            "{\"error\":{\"code\":\"HeadersTooLarge\",\"message\":"
-            "\"request headers exceed the %zu-byte limit\"}}\n",
-            options_.max_header_bytes);
+      // Every error reply closes the connection: after refusing a body we
+      // never read, or one whose length is in dispute, the stream
+      // position is unknowable.
+      HttpResponse response;
+      switch (error) {
+        case ReadError::kNone:
+          break;
+        case ReadError::kUnsupported:
+          response = ErrorReply(501, "Unsupported",
+                                "unsupported Transfer-Encoding; send a "
+                                "Content-Length or chunked body");
+          break;
+        case ReadError::kConflictingFraming:
+          response = ErrorReply(400, "InvalidArgument",
+                                "conflicting message framing: Content-Length "
+                                "with Transfer-Encoding, or Content-Length "
+                                "values that disagree");
+          break;
+        case ReadError::kTooLarge:
+          response = ErrorReply(
+              413, "PayloadTooLarge",
+              StringPrintf("request body exceeds the %zu-byte limit",
+                           options_.max_body_bytes));
+          break;
+        case ReadError::kHeadersTooLarge:
+          response = ErrorReply(
+              431, "HeadersTooLarge",
+              StringPrintf("request headers exceed the %zu-byte limit",
+                           options_.max_header_bytes));
+          break;
+      }
+      if (error != ReadError::kNone) {
         WriteResponse(fd, response, /*keep_alive=*/false);
       }
       break;
@@ -351,8 +371,9 @@ bool HttpServer::ReadRequest(int fd, HttpRequest* request, bool* keep_alive,
 
   // Headers: all retained on the request; framing-relevant ones
   // (Content-Length, Transfer-Encoding, Connection) interpreted here.
-  size_t content_length = 0;
+  std::optional<size_t> content_length;
   bool chunked = false;
+  bool conflicting = false;
   *keep_alive = !AsciiIEquals(http_version, "HTTP/1.0");
   std::string_view headers =
       line_end == std::string_view::npos ? std::string_view()
@@ -376,6 +397,12 @@ bool HttpServer::ReadRequest(int fd, HttpRequest* request, bool* keep_alive,
         *error = ReadError::kTooLarge;
         return false;
       }
+      // RFC 9112 §6.3: Content-Length values that disagree are invalid
+      // framing; repeats of one value are harmless.
+      if (content_length.has_value() &&
+          *content_length != static_cast<size_t>(parsed)) {
+        conflicting = true;
+      }
       content_length = static_cast<size_t>(parsed);
     } else if (AsciiIEquals(name, "connection")) {
       if (AsciiIEquals(value, "close")) *keep_alive = false;
@@ -393,18 +420,26 @@ bool HttpServer::ReadRequest(int fd, HttpRequest* request, bool* keep_alive,
     }
   }
 
+  // A message framed two ways is refused, never resolved in favor of one
+  // header: a proxy in front that honors the other would see a different
+  // request boundary, and the bytes past ours would smuggle a request.
+  if (conflicting || (chunked && content_length.has_value())) {
+    *error = ReadError::kConflictingFraming;
+    return false;
+  }
   const size_t body_start = header_end + 4;
   if (chunked) {
     return ReadChunkedBody(fd, buffer, body_start, request, error);
   }
 
-  // Content-Length body.
-  while (buffer->size() < body_start + content_length) {
+  // Content-Length body (none without the header).
+  const size_t body_size = content_length.value_or(0);
+  while (buffer->size() < body_start + body_size) {
     if (!FillBuffer(fd, buffer)) return false;
   }
-  request->body = buffer->substr(body_start, content_length);
+  request->body = buffer->substr(body_start, body_size);
   // Keep any pipelined bytes for the next request on this connection.
-  buffer->erase(0, body_start + content_length);
+  buffer->erase(0, body_start + body_size);
   return true;
 }
 

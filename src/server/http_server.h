@@ -65,7 +65,7 @@ class ResponseStream {
 struct HttpResponse {
   int status = 200;
   std::string content_type = "application/json";
-  /// Extra response headers (e.g. `Deprecation` on legacy routes).
+  /// Extra response headers (e.g. `Allow` on a 405).
   std::vector<std::pair<std::string, std::string>> headers;
   std::string body;
   /// When set, this response is a long-lived stream: the server sends
@@ -144,6 +144,8 @@ class HttpServer {
   enum class ReadError {
     kNone,         ///< EOF, timeout, or malformed framing — close silently
     kUnsupported,  ///< Transfer-Encoding we must not guess at → 501
+    kConflictingFraming,  ///< Content-Length with Transfer-Encoding, or
+                          ///< Content-Length values that disagree → 400
     kTooLarge,     ///< declared or accumulated body over max_body_bytes → 413
     kHeadersTooLarge,  ///< headers alone over max_header_bytes → 431
   };
@@ -157,8 +159,9 @@ class HttpServer {
   /// Sets `*error` (and returns false) when the connection deserves an
   /// error response before closing: a Transfer-Encoding we must not guess
   /// at (501 — answering on guessed framing would desync the connection),
-  /// a body over Options::max_body_bytes (413, for both Content-Length
-  /// and chunked uploads), or headers over Options::max_header_bytes (431).
+  /// framing that two headers dispute (400, RFC 9112 §6.3), a body over
+  /// Options::max_body_bytes (413, for both Content-Length and chunked
+  /// uploads), or headers over Options::max_header_bytes (431).
   bool ReadRequest(int fd, HttpRequest* request, bool* keep_alive,
                    std::string* buffer, ReadError* error);
   /// Decode a chunked body starting at buffer[body_start] into

@@ -5,6 +5,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -69,43 +70,46 @@ Result<Json> ParseBody(const HttpRequest& request) {
 /// InvalidArgument on a malformed version, NotFound when it was never
 /// published, Gone when it fell out of the retention ring.
 Result<std::shared_ptr<const api::Snapshot>> ResolveReadSnapshot(
-    api::Engine* engine, const HttpRequest& request) {
+    const api::Engine& engine, const HttpRequest& request) {
   const std::string as_of = request.QueryParam("as_of", "");
-  if (as_of.empty()) return engine->snapshot();
+  if (as_of.empty()) return engine.snapshot();
   int64_t version = 0;
   if (!ParseInt64(as_of, &version) || version < 0) {
     return Status::InvalidArgument(StringPrintf(
         "bad as_of '%s' (expected a non-negative version)", as_of.c_str()));
   }
-  return engine->SnapshotAt(static_cast<uint64_t>(version));
+  return engine.SnapshotAt(static_cast<uint64_t>(version));
 }
 
 // --------------------------------------------------- per-KB endpoints
+// Each handler runs only for a method its kEndpoints row allows: the
+// router answers any other with 405 first.
 
-HttpResponse HandleGraph(api::Engine* engine, const HttpRequest& request) {
+HttpResponse HandleGraph(const std::shared_ptr<api::Engine>& engine,
+                         const std::string& /*kb*/,
+                         const HttpRequest& request) {
   if (request.method == "GET") {
-    auto snap = ResolveReadSnapshot(engine, request);
+    auto snap = ResolveReadSnapshot(*engine, request);
     if (!snap.ok()) return ErrorResponse(snap.status());
     return JsonResponse(200, api::GraphInfoJson(**snap));
   }
-  if (request.method == "POST") {
-    auto body = ParseBody(request);
-    if (!body.ok()) return ErrorResponse(body.status());
-    auto req = api::GraphRequest::FromJson(*body);
-    if (!req.ok()) return ErrorResponse(req.status());
-    auto published = req->text.empty() ? engine->LoadGraphFile(req->path)
-                                       : engine->LoadGraphText(req->text);
-    if (!published.ok()) return ErrorResponse(published.status());
-    // Describe the publish this write produced, not whatever a competing
-    // writer may have published since.
-    return JsonResponse(200, api::GraphInfoJson(**published));
-  }
-  return MethodNotAllowed(request.method, "GET, POST");
+  auto body = ParseBody(request);
+  if (!body.ok()) return ErrorResponse(body.status());
+  auto req = api::GraphRequest::FromJson(*body);
+  if (!req.ok()) return ErrorResponse(req.status());
+  auto published = req->text.empty() ? engine->LoadGraphFile(req->path)
+                                     : engine->LoadGraphText(req->text);
+  if (!published.ok()) return ErrorResponse(published.status());
+  // Describe the publish this write produced, not whatever a competing
+  // writer may have published since.
+  return JsonResponse(200, api::GraphInfoJson(**published));
 }
 
-HttpResponse HandleRules(api::Engine* engine, const HttpRequest& request) {
+HttpResponse HandleRules(const std::shared_ptr<api::Engine>& engine,
+                         const std::string& /*kb*/,
+                         const HttpRequest& request) {
   if (request.method == "GET") {
-    auto snap = ResolveReadSnapshot(engine, request);
+    auto snap = ResolveReadSnapshot(*engine, request);
     if (!snap.ok()) return ErrorResponse(snap.status());
     return JsonResponse(200, api::RulesJson(**snap));
   }
@@ -120,18 +124,14 @@ HttpResponse HandleRules(api::Engine* engine, const HttpRequest& request) {
     out.Set("added", Json::Int(static_cast<int64_t>(outcome->added)));
     return JsonResponse(200, out);
   }
-  if (request.method == "DELETE") {
-    auto cleared = engine->ClearRules();
-    if (!cleared.ok()) return ErrorResponse(cleared.status());
-    return JsonResponse(200, api::RulesJson(**cleared));
-  }
-  return MethodNotAllowed(request.method, "GET, POST, DELETE");
+  auto cleared = engine->ClearRules();
+  if (!cleared.ok()) return ErrorResponse(cleared.status());
+  return JsonResponse(200, api::RulesJson(**cleared));
 }
 
-HttpResponse HandleSolve(api::Engine* engine, const HttpRequest& request) {
-  if (request.method != "POST") {
-    return MethodNotAllowed(request.method, "POST");
-  }
+HttpResponse HandleSolve(const std::shared_ptr<api::Engine>& engine,
+                         const std::string& /*kb*/,
+                         const HttpRequest& request) {
   auto body = ParseBody(request);
   if (!body.ok()) return ErrorResponse(body.status());
   auto req = api::SolveRequest::FromJson(*body);
@@ -146,10 +146,9 @@ HttpResponse HandleSolve(api::Engine* engine, const HttpRequest& request) {
                           *outcome->result, req->max_facts, outcome->cached));
 }
 
-HttpResponse HandleEdits(api::Engine* engine, const HttpRequest& request) {
-  if (request.method != "POST") {
-    return MethodNotAllowed(request.method, "POST");
-  }
+HttpResponse HandleEdits(const std::shared_ptr<api::Engine>& engine,
+                         const std::string& /*kb*/,
+                         const HttpRequest& request) {
   auto body = ParseBody(request);
   if (!body.ok()) return ErrorResponse(body.status());
   auto req = api::EditsRequest::FromJson(*body);
@@ -162,12 +161,10 @@ HttpResponse HandleEdits(api::Engine* engine, const HttpRequest& request) {
                           req->solve.max_facts));
 }
 
-HttpResponse HandleConflicts(api::Engine* engine,
+HttpResponse HandleConflicts(const std::shared_ptr<api::Engine>& engine,
+                             const std::string& /*kb*/,
                              const HttpRequest& request) {
-  if (request.method != "GET") {
-    return MethodNotAllowed(request.method, "GET");
-  }
-  auto resolved = ResolveReadSnapshot(engine, request);
+  auto resolved = ResolveReadSnapshot(*engine, request);
   if (!resolved.ok()) return ErrorResponse(resolved.status());
   const auto& snap = *resolved;
   int64_t limit = 25;
@@ -183,11 +180,10 @@ HttpResponse HandleConflicts(api::Engine* engine,
       200, api::ConflictsJson(*snap, **report, static_cast<size_t>(limit)));
 }
 
-HttpResponse HandleStats(api::Engine* engine, const HttpRequest& request) {
-  if (request.method != "GET") {
-    return MethodNotAllowed(request.method, "GET");
-  }
-  auto resolved = ResolveReadSnapshot(engine, request);
+HttpResponse HandleStats(const std::shared_ptr<api::Engine>& engine,
+                         const std::string& /*kb*/,
+                         const HttpRequest& request) {
+  auto resolved = ResolveReadSnapshot(*engine, request);
   if (!resolved.ok()) return ErrorResponse(resolved.status());
   const auto& snap = *resolved;
   if (!snap->has_graph()) {
@@ -196,27 +192,24 @@ HttpResponse HandleStats(api::Engine* engine, const HttpRequest& request) {
   return JsonResponse(200, api::StatsJson(*snap));
 }
 
-HttpResponse HandleComplete(api::Engine* engine,
+HttpResponse HandleComplete(const std::shared_ptr<api::Engine>& engine,
+                            const std::string& /*kb*/,
                             const HttpRequest& request) {
-  if (request.method != "GET") {
-    return MethodNotAllowed(request.method, "GET");
-  }
-  auto snap = ResolveReadSnapshot(engine, request);
+  auto snap = ResolveReadSnapshot(*engine, request);
   if (!snap.ok()) return ErrorResponse(snap.status());
   return JsonResponse(
       200, api::CompleteJson(**snap, request.QueryParam("prefix", "")));
 }
 
-HttpResponse HandleSuggest(api::Engine* engine, const HttpRequest& request) {
-  if (request.method != "GET" && request.method != "POST") {
-    return MethodNotAllowed(request.method, "GET, POST");
-  }
+HttpResponse HandleSuggest(const std::shared_ptr<api::Engine>& engine,
+                           const std::string& /*kb*/,
+                           const HttpRequest& request) {
   auto body = ParseBody(request);
   if (!body.ok()) return ErrorResponse(body.status());
   // The mine body's miner fields; `adopt` is ignored (suggest is a read).
   auto req = api::MineRequest::FromJson(*body);
   if (!req.ok()) return ErrorResponse(req.status());
-  auto resolved = ResolveReadSnapshot(engine, request);
+  auto resolved = ResolveReadSnapshot(*engine, request);
   if (!resolved.ok()) return ErrorResponse(resolved.status());
   const auto& snap = *resolved;
   auto report = snap->MineConstraints(req->options);
@@ -224,15 +217,14 @@ HttpResponse HandleSuggest(api::Engine* engine, const HttpRequest& request) {
   return JsonResponse(200, api::SuggestJson(*snap, *report));
 }
 
-HttpResponse HandleMine(api::Engine* engine, const HttpRequest& request) {
-  if (request.method != "POST") {
-    return MethodNotAllowed(request.method, "POST");
-  }
+HttpResponse HandleMine(const std::shared_ptr<api::Engine>& engine,
+                        const std::string& /*kb*/,
+                        const HttpRequest& request) {
   auto body = ParseBody(request);
   if (!body.ok()) return ErrorResponse(body.status());
   auto req = api::MineRequest::FromJson(*body);
   if (!req.ok()) return ErrorResponse(req.status());
-  auto resolved = ResolveReadSnapshot(engine, request);
+  auto resolved = ResolveReadSnapshot(*engine, request);
   if (!resolved.ok()) return ErrorResponse(resolved.status());
   const auto& snap = *resolved;
   auto report = snap->MineConstraints(req->options);
@@ -487,12 +479,9 @@ void StreamSubscription(const std::shared_ptr<api::Engine>& engine,
   subscribers->Add(-1);
 }
 
-HttpResponse HandleSubscribe(std::shared_ptr<api::Engine> engine,
+HttpResponse HandleSubscribe(const std::shared_ptr<api::Engine>& engine,
                              const std::string& kb,
                              const HttpRequest& request) {
-  if (request.method != "GET") {
-    return MethodNotAllowed(request.method, "GET");
-  }
   int64_t max_events = 0;
   const std::string max_param = request.QueryParam("max_events", "");
   if (!max_param.empty() &&
@@ -535,7 +524,7 @@ HttpResponse HandleSubscribe(std::shared_ptr<api::Engine> engine,
   out.status = 200;
   out.content_type = "text/event-stream";
   out.headers.emplace_back("Cache-Control", "no-cache");
-  out.stream = [engine = std::move(engine), kb,
+  out.stream = [engine, kb,
                 max = static_cast<uint64_t>(max_events), resume_after,
                 predicates = std::move(predicates)](ResponseStream* stream) {
     StreamSubscription(engine, kb, max, resume_after, predicates, stream);
@@ -550,17 +539,14 @@ HttpResponse HandleKbCollection(api::EngineRegistry* registry,
   if (request.method == "GET") {
     return JsonResponse(200, api::KbListJson(registry->List()));
   }
-  if (request.method == "POST") {
-    auto body = ParseBody(request);
-    if (!body.ok()) return ErrorResponse(body.status());
-    auto req = api::KbCreateRequest::FromJson(*body);
-    if (!req.ok()) return ErrorResponse(req.status());
-    auto created = registry->Create(req->name);
-    if (!created.ok()) return ErrorResponse(created.status());
-    return JsonResponse(
-        201, api::KbInfoJson(req->name, *(*created)->snapshot()));
-  }
-  return MethodNotAllowed(request.method, "GET, POST");
+  auto body = ParseBody(request);
+  if (!body.ok()) return ErrorResponse(body.status());
+  auto req = api::KbCreateRequest::FromJson(*body);
+  if (!req.ok()) return ErrorResponse(req.status());
+  auto created = registry->Create(req->name);
+  if (!created.ok()) return ErrorResponse(created.status());
+  return JsonResponse(201,
+                      api::KbInfoJson(req->name, *(*created)->snapshot()));
 }
 
 HttpResponse HandleKbItem(api::EngineRegistry* registry,
@@ -571,51 +557,12 @@ HttpResponse HandleKbItem(api::EngineRegistry* registry,
     if (!engine.ok()) return ErrorResponse(engine.status());
     return JsonResponse(200, api::KbInfoJson(name, *(*engine)->snapshot()));
   }
-  if (request.method == "DELETE") {
-    Status deleted = registry->Delete(name);
-    if (!deleted.ok()) return ErrorResponse(deleted);
-    Json out = Json::Object();
-    out.Set("kb", Json::Str(name));
-    out.Set("deleted", Json::Bool(true));
-    return JsonResponse(200, out);
-  }
-  return MethodNotAllowed(request.method, "GET, DELETE");
-}
-
-/// Route one endpoint of a named KB. `engine` is the shared_ptr handed
-/// out by the registry — held for the whole request (and by the stream
-/// for subscriptions), so a concurrent DELETE never tears a response.
-HttpResponse DispatchEndpoint(std::shared_ptr<api::Engine> engine,
-                              const std::string& kb,
-                              const std::string& endpoint,
-                              const HttpRequest& request) {
-  if (endpoint == "graph") return HandleGraph(engine.get(), request);
-  if (endpoint == "rules") return HandleRules(engine.get(), request);
-  if (endpoint == "solve") return HandleSolve(engine.get(), request);
-  if (endpoint == "edits") return HandleEdits(engine.get(), request);
-  if (endpoint == "conflicts") return HandleConflicts(engine.get(), request);
-  if (endpoint == "stats") return HandleStats(engine.get(), request);
-  if (endpoint == "complete") return HandleComplete(engine.get(), request);
-  if (endpoint == "suggest") return HandleSuggest(engine.get(), request);
-  if (endpoint == "mine") return HandleMine(engine.get(), request);
-  if (endpoint == "subscribe") {
-    return HandleSubscribe(std::move(engine), kb, request);
-  }
-  return ErrorResponse(Status::NotFound(
-      StringPrintf("no such endpoint: %s /v1/kb/%s/%s",
-                   request.method.c_str(), kb.c_str(), endpoint.c_str())));
-}
-
-/// Legacy endpoints of the single-KB protocol, still served (against the
-/// default KB) but marked deprecated.
-bool IsLegacyEndpoint(const std::string& endpoint) {
-  static const char* kLegacy[] = {"graph",     "rules", "solve",
-                                  "edits",     "conflicts", "stats",
-                                  "complete",  "suggest", "mine"};
-  for (const char* name : kLegacy) {
-    if (endpoint == name) return true;
-  }
-  return false;
+  Status deleted = registry->Delete(name);
+  if (!deleted.ok()) return ErrorResponse(deleted);
+  Json out = Json::Object();
+  out.Set("kb", Json::Str(name));
+  out.Set("deleted", Json::Bool(true));
+  return JsonResponse(200, out);
 }
 
 // ------------------------------------------------------- observability
@@ -623,70 +570,12 @@ bool IsLegacyEndpoint(const std::string& endpoint) {
 /// GET /metrics — Prometheus text exposition of the process registry.
 /// Auth-exempt: scrapers hold no tokens, and the surface is read-only
 /// operational state (no KB contents beyond aggregate counts).
-HttpResponse HandleMetrics(const HttpRequest& request) {
-  if (request.method != "GET") {
-    return MethodNotAllowed(request.method, "GET");
-  }
+HttpResponse HandleMetrics() {
   HttpResponse out;
   out.status = 200;
   out.content_type = "text/plain; version=0.0.4";
   out.body = obs::Registry::Default()->RenderPrometheusText();
   return out;
-}
-
-/// The auth scope a path resolves to; mirrors the routing below. Admin
-/// scope covers tenant lifecycle (the /v1/kb collection, DELETE of a KB)
-/// and every unrouted path — so a per-KB token probing outside its KB
-/// sees 403, never 404.
-AuthScope ScopeFor(const HttpRequest& request,
-                   const std::string& default_kb) {
-  AuthScope scope;
-  const std::string& path = request.path;
-  if (path == "/v1/kb") {
-    scope.admin = true;
-    return scope;
-  }
-  const std::string_view kb_prefix = "/v1/kb/";
-  if (path.compare(0, kb_prefix.size(), kb_prefix) == 0) {
-    const std::string rest = path.substr(kb_prefix.size());
-    const size_t slash = rest.find('/');
-    scope.kb = rest.substr(0, slash);
-    if (slash == std::string::npos) {
-      // KB item: reading the digest is KB-scoped, deleting is admin.
-      scope.admin = request.method != "GET";
-    }
-    return scope;
-  }
-  const std::string_view v1_prefix = "/v1/";
-  if (path.compare(0, v1_prefix.size(), v1_prefix) == 0 &&
-      IsLegacyEndpoint(path.substr(v1_prefix.size()))) {
-    scope.kb = default_kb;
-    return scope;
-  }
-  scope.admin = true;
-  return scope;
-}
-
-/// Bounded-cardinality endpoint label for request metrics: one of the
-/// known per-KB endpoint names, "kb" for tenant lifecycle, "metrics",
-/// or "other" — never raw request paths (KB names and typo'd paths must
-/// not mint new series).
-std::string EndpointLabel(const std::string& path) {
-  if (path == "/metrics") return "metrics";
-  if (path == "/v1/kb") return "kb";
-  std::string endpoint;
-  const std::string_view kb_prefix = "/v1/kb/";
-  const std::string_view v1_prefix = "/v1/";
-  if (path.compare(0, kb_prefix.size(), kb_prefix) == 0) {
-    const std::string rest = path.substr(kb_prefix.size());
-    const size_t slash = rest.find('/');
-    if (slash == std::string::npos) return "kb";
-    endpoint = rest.substr(slash + 1);
-  } else if (path.compare(0, v1_prefix.size(), v1_prefix) == 0) {
-    endpoint = path.substr(v1_prefix.size());
-  }
-  if (IsLegacyEndpoint(endpoint) || endpoint == "subscribe") return endpoint;
-  return "other";
 }
 
 const char* StatusClass(int status) {
@@ -696,67 +585,179 @@ const char* StatusClass(int status) {
   return "2xx";
 }
 
+// ------------------------------------------------------------- routing
+
+/// One per-KB endpoint, `/v1/kb/{name}/<name>`. The router answers 405,
+/// with `allow` as the `Allow` header, before it calls `handle`; request
+/// metrics carry `name` as their `endpoint` label.
+struct Endpoint {
+  const char* name;
+  const char* allow;
+  HttpResponse (*handle)(const std::shared_ptr<api::Engine>& engine,
+                         const std::string& kb, const HttpRequest& request);
+};
+
+constexpr Endpoint kEndpoints[] = {
+    {"graph", "GET, POST", HandleGraph},
+    {"rules", "GET, POST, DELETE", HandleRules},
+    {"solve", "POST", HandleSolve},
+    {"edits", "POST", HandleEdits},
+    {"conflicts", "GET", HandleConflicts},
+    {"stats", "GET", HandleStats},
+    {"complete", "GET", HandleComplete},
+    {"suggest", "GET, POST", HandleSuggest},
+    {"mine", "POST", HandleMine},
+    {"subscribe", "GET", HandleSubscribe},
+};
+
+/// Where a request path leads, parsed once per request: dispatch, auth
+/// scoping and the metrics label all read it.
+struct Route {
+  enum class Kind { kUnrouted, kMetrics, kCollection, kKbItem, kKbEndpoint };
+  Kind kind = Kind::kUnrouted;
+  /// `{name}` of `/v1/kb/{name}` and `/v1/kb/{name}/<endpoint>`.
+  std::string kb;
+  /// The table row of a KB endpoint; null when the path names none.
+  const Endpoint* endpoint = nullptr;
+  /// The methods the path answers, as the 405 `Allow` header lists them;
+  /// null when nothing is routed there.
+  const char* allow = nullptr;
+};
+
+Route ParseRoute(const std::string& path) {
+  Route route;
+  if (path == "/metrics") {
+    route.kind = Route::Kind::kMetrics;
+    route.allow = "GET";
+    return route;
+  }
+  if (path == "/v1/kb") {
+    route.kind = Route::Kind::kCollection;
+    route.allow = "GET, POST";
+    return route;
+  }
+  const std::string_view kb_prefix = "/v1/kb/";
+  if (path.compare(0, kb_prefix.size(), kb_prefix) != 0) return route;
+  const std::string_view rest =
+      std::string_view(path).substr(kb_prefix.size());
+  const size_t slash = rest.find('/');
+  route.kb = std::string(rest.substr(0, slash));
+  if (slash == std::string_view::npos) {
+    route.kind = Route::Kind::kKbItem;
+    route.allow = "GET, DELETE";
+    return route;
+  }
+  route.kind = Route::Kind::kKbEndpoint;
+  const std::string_view name = rest.substr(slash + 1);
+  for (const Endpoint& row : kEndpoints) {
+    if (name == row.name) {
+      route.endpoint = &row;
+      route.allow = row.allow;
+      break;
+    }
+  }
+  return route;
+}
+
+/// Does `allow`, a comma-separated method list, name `method`?
+bool Allows(std::string_view allow, std::string_view method) {
+  while (!allow.empty()) {
+    const size_t comma = allow.find(',');
+    if (Trim(allow.substr(0, comma)) == method) return true;
+    if (comma == std::string_view::npos) break;
+    allow.remove_prefix(comma + 1);
+  }
+  return false;
+}
+
+/// The auth scope of a route. Admin scope covers tenant lifecycle (the
+/// /v1/kb collection, DELETE of a KB) and every unrouted path — so a
+/// per-KB token probing outside its KB sees 403, never 404.
+AuthScope ScopeFor(const Route& route, const std::string& method) {
+  AuthScope scope;
+  switch (route.kind) {
+    case Route::Kind::kKbItem:
+      // Reading the digest is KB-scoped, deleting is admin.
+      scope.kb = route.kb;
+      scope.admin = method != "GET";
+      break;
+    case Route::Kind::kKbEndpoint:
+      scope.kb = route.kb;
+      break;
+    default:
+      scope.admin = true;
+  }
+  return scope;
+}
+
+/// Bounded-cardinality endpoint label for request metrics: a table row's
+/// name, "kb" for tenant lifecycle, "metrics", or "other" — never raw
+/// request paths (KB names and typo'd paths must not mint new series).
+const char* EndpointLabel(const Route& route) {
+  switch (route.kind) {
+    case Route::Kind::kMetrics:
+      return "metrics";
+    case Route::Kind::kCollection:
+    case Route::Kind::kKbItem:
+      return "kb";
+    case Route::Kind::kKbEndpoint:
+      if (route.endpoint != nullptr) return route.endpoint->name;
+      break;
+    case Route::Kind::kUnrouted:
+      break;
+  }
+  return "other";
+}
+
+HttpResponse Dispatch(api::EngineRegistry* registry,
+                      const RouterOptions& options, const Route& route,
+                      const HttpRequest& request) {
+  // Metrics are exempt from auth: a scraper must never be locked out by a
+  // token rotation.
+  if (route.kind != Route::Kind::kMetrics) {
+    Status auth = CheckScopedAuth(options.auth_token, options.kb_tokens,
+                                  ScopeFor(route, request.method), request);
+    if (!auth.ok()) return ErrorResponse(auth);
+  }
+  const bool per_kb = route.kind == Route::Kind::kKbItem ||
+                      route.kind == Route::Kind::kKbEndpoint;
+  if (per_kb && route.kb.empty()) {
+    return ErrorResponse(Status::NotFound("missing kb name in path"));
+  }
+  // The engine is held for the whole request (and by the stream for
+  // subscriptions), so a concurrent DELETE never tears a response.
+  std::shared_ptr<api::Engine> engine;
+  if (route.kind == Route::Kind::kKbEndpoint) {
+    auto found = registry->Get(route.kb);
+    if (!found.ok()) return ErrorResponse(found.status());
+    engine = std::move(*found);
+  }
+  if (route.allow == nullptr) {
+    return ErrorResponse(Status::NotFound(
+        StringPrintf("no such endpoint: %s %s", request.method.c_str(),
+                     request.path.c_str())));
+  }
+  if (!Allows(route.allow, request.method)) {
+    return MethodNotAllowed(request.method, route.allow);
+  }
+  if (route.kind == Route::Kind::kCollection) {
+    return HandleKbCollection(registry, request);
+  }
+  if (route.kind == Route::Kind::kKbItem) {
+    return HandleKbItem(registry, route.kb, request);
+  }
+  if (route.kind == Route::Kind::kKbEndpoint) {
+    return route.endpoint->handle(engine, route.kb, request);
+  }
+  return HandleMetrics();  // the one other route that answers a method
+}
+
 }  // namespace
 
-HttpResponse HandleApiRequest(api::EngineRegistry* registry,
-                              const RouterOptions& options,
-                              const HttpRequest& request) {
-  // Metrics are exempt from auth and routed before it: a scraper must
-  // never be locked out by a token rotation.
-  if (request.path == "/metrics") return HandleMetrics(request);
-
-  Status auth = CheckScopedAuth(options.auth_token, options.kb_tokens,
-                                ScopeFor(request, options.default_kb),
-                                request);
-  if (!auth.ok()) return ErrorResponse(auth);
-
-  const std::string& path = request.path;
-  // /v1/kb … tenant lifecycle and per-KB endpoints.
-  if (path == "/v1/kb") return HandleKbCollection(registry, request);
-  const std::string_view kb_prefix = "/v1/kb/";
-  if (path.compare(0, kb_prefix.size(), kb_prefix) == 0) {
-    std::string rest = path.substr(kb_prefix.size());
-    const size_t slash = rest.find('/');
-    const std::string name = rest.substr(0, slash);
-    if (name.empty()) {
-      return ErrorResponse(Status::NotFound("missing kb name in path"));
-    }
-    if (slash == std::string::npos) {
-      return HandleKbItem(registry, name, request);
-    }
-    const std::string endpoint = rest.substr(slash + 1);
-    auto engine = registry->Get(name);
-    if (!engine.ok()) return ErrorResponse(engine.status());
-    return DispatchEndpoint(std::move(*engine), name, endpoint, request);
-  }
-
-  // Legacy single-KB paths: /v1/<endpoint> → the default KB, plus a
-  // deprecation pointer at the tenant-scoped successor.
-  const std::string_view v1_prefix = "/v1/";
-  if (path.compare(0, v1_prefix.size(), v1_prefix) == 0) {
-    const std::string endpoint = path.substr(v1_prefix.size());
-    if (IsLegacyEndpoint(endpoint)) {
-      auto engine = registry->Get(options.default_kb);
-      if (!engine.ok()) {
-        return ErrorResponse(Status::NotFound(StringPrintf(
-            "legacy path %s needs the default kb '%s', which does not exist",
-            path.c_str(), options.default_kb.c_str())));
-      }
-      HttpResponse out = DispatchEndpoint(std::move(*engine),
-                                          options.default_kb, endpoint,
-                                          request);
-      out.headers.emplace_back("Deprecation", "true");
-      out.headers.emplace_back(
-          "Link", StringPrintf("</v1/kb/%s/%s>; rel=\"successor-version\"",
-                               options.default_kb.c_str(),
-                               endpoint.c_str()));
-      return out;
-    }
-  }
-
-  return ErrorResponse(
-      Status::NotFound(StringPrintf("no such endpoint: %s %s",
-                                    request.method.c_str(), path.c_str())));
+std::vector<std::pair<std::string, std::string>> KbEndpointMethods() {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const Endpoint& row : kEndpoints) out.emplace_back(row.name, row.allow);
+  return out;
 }
 
 HttpHandler MakeApiHandler(api::EngineRegistry* registry,
@@ -770,12 +771,13 @@ HttpHandler MakeApiHandler(api::EngineRegistry* registry,
     if (request_id.empty()) request_id = obs::GenerateRequestId();
 
     Timer timer;
-    HttpResponse response = HandleApiRequest(registry, options, request);
+    const Route route = ParseRoute(request.path);
+    HttpResponse response = Dispatch(registry, options, route, request);
     const uint64_t micros = static_cast<uint64_t>(timer.ElapsedMicros());
 
     // For SSE subscriptions this measures route setup, not the stream's
     // lifetime — live streams show up in tecore_kb_sse_subscribers.
-    const std::string endpoint = EndpointLabel(request.path);
+    const char* endpoint = EndpointLabel(route);
     metrics
         ->GetHistogram("tecore_http_request_duration_micros",
                        {{"endpoint", endpoint}},

@@ -3,6 +3,8 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "api/registry.h"
 #include "obs/access_log.h"
@@ -24,14 +26,21 @@ struct RouterOptions {
   /// authorizes exactly that KB's endpoints; presenting it against
   /// another KB or an admin endpoint is 403 (see CheckScopedAuth).
   KbTokenMap kb_tokens;
-  /// The tenant behind the legacy single-KB `/v1/<endpoint>` paths.
-  std::string default_kb = "default";
   /// When set, every completed request is logged as one structured line
   /// (see obs/access_log.h). Null disables access logging.
   std::shared_ptr<obs::AccessLog> access_log;
 };
 
-/// \brief Dispatch one `/v1` request against the registry.
+/// \brief Handler closure for HttpServer: dispatch each request against
+/// the registry. `registry` must outlive the server.
+///
+/// Each request path is parsed once into a route — the `/v1/kb`
+/// collection, a KB item `/v1/kb/{name}`, a per-KB endpoint
+/// `/v1/kb/{name}/<endpoint>`, `GET /metrics`, or unrouted (404). The
+/// per-KB endpoints are the rows of one table, `kEndpoints` in routes.cc
+/// (see KbEndpointMethods; docs/api.md documents each). Dispatch, auth
+/// scoping, the metrics `endpoint` label and the 405 `Allow` header all
+/// read that table.
 ///
 /// Tenant lifecycle:
 ///   GET    /v1/kb            — list KBs (name + snapshot digest each)
@@ -39,22 +48,6 @@ struct RouterOptions {
 ///   GET    /v1/kb/{name}     — one KB's digest
 ///   DELETE /v1/kb/{name}     — delete (in-flight reads stay consistent,
 ///                              subscribers get a `close` event)
-///
-/// Per-KB endpoints, all rooted at /v1/kb/{name}/… (docs/api.md):
-///   GET|POST /v1/kb/{n}/graph      load / describe the UTKG
-///   GET|POST|DELETE /v1/kb/{n}/rules
-///   POST /v1/kb/{n}/solve          most probable conflict-free KG
-///   POST /v1/kb/{n}/edits          edit script, incremental re-solve
-///   GET  /v1/kb/{n}/conflicts      detection report (?limit=N)
-///   GET  /v1/kb/{n}/stats          statistics panel
-///   GET  /v1/kb/{n}/complete       predicate completion (?prefix=p)
-///   GET|POST /v1/kb/{n}/suggest    mined constraint suggestions
-///   GET  /v1/kb/{n}/subscribe      server-sent events: one `snapshot`
-///                                  event per publish (?max_events=N)
-///
-/// The legacy single-KB paths (`/v1/graph`, …) keep working against
-/// `options.default_kb` and answer with a `Deprecation: true` header plus
-/// a `Link: </v1/kb/{default}/…>; rel="successor-version"` pointer.
 ///
 /// `GET /metrics` serves the Prometheus text exposition of the process
 /// metrics registry. It is auth-exempt (scrapers hold no tokens) and
@@ -64,17 +57,18 @@ struct RouterOptions {
 /// block writes; every response carries the snapshot version it came
 /// from. Errors are the uniform envelope
 /// `{"error": {"code": …, "message": …}}`.
-HttpResponse HandleApiRequest(api::EngineRegistry* registry,
-                              const RouterOptions& options,
-                              const HttpRequest& request);
-
-/// \brief Handler closure for HttpServer. `registry` must outlive the
-/// server. The closure wraps HandleApiRequest with per-request
-/// instrumentation: request counters and latency histograms labeled by
-/// endpoint, an in-flight gauge, an `X-Request-Id` response header
-/// (echoed from the request or generated), and the optional access log.
+///
+/// Every request is instrumented: request counters and latency
+/// histograms labeled by endpoint, an in-flight gauge, an `X-Request-Id`
+/// response header (echoed from the request or generated), and the
+/// optional access log.
 HttpHandler MakeApiHandler(api::EngineRegistry* registry,
                            RouterOptions options = {});
+
+/// \brief The per-KB endpoint table as clients see it: each endpoint's
+/// name (the path segment after `/v1/kb/{name}/`) and the methods it
+/// answers, listed as in the `Allow` header of its 405. Table order.
+std::vector<std::pair<std::string, std::string>> KbEndpointMethods();
 
 }  // namespace server
 }  // namespace tecore

@@ -41,11 +41,12 @@ void PrintServeUsage() {
                " (default 8080)\n"
                "  --threads n         shared connection-worker pool for all"
                " KBs (0 = auto)\n"
-               "  --kb name           KB that --graph/--rules preload into"
-               " (created if\n"
-               "                      missing; default \"default\", which"
-               " also serves the\n"
-               "                      legacy /v1/... paths)\n"
+               "  --kb name           KB that --graph/--rules preload into,"
+               " created at startup\n"
+               "                      if missing (default \"default\"; without"
+               " --kb, --graph\n"
+               "                      or --rules the server holds only the KBs"
+               " it recovered)\n"
                "  --graph f           preload a \".tq\" UTKG before serving\n"
                "  --rules f           preload a rule file before serving\n"
                "  --auth-token-file f require 'Authorization: Bearer"
@@ -108,6 +109,7 @@ int RunServe(int argc, char** argv, int first_arg) {
   std::string graph_file;
   std::string rules_file;
   std::string preload_kb = "default";
+  bool kb_given = false;
   std::string auth_token_file;
   std::string kb_tokens_file;
   std::string data_dir;
@@ -165,6 +167,7 @@ int RunServe(int argc, char** argv, int first_arg) {
       rules_file = value;
     } else if (flag == "--kb") {
       preload_kb = value;
+      kb_given = true;
     } else if (flag == "--data-dir") {
       data_dir = value;
     } else if (flag == "--fsync") {
@@ -225,7 +228,6 @@ int RunServe(int argc, char** argv, int first_arg) {
   }
 
   // The registry owns the shared worker pool and every tenant engine.
-  // "default" always exists so the legacy single-KB /v1/... paths work.
   api::EngineRegistry::Options registry_options;
   registry_options.num_threads = pool_threads;
   registry_options.data_dir = data_dir;
@@ -245,13 +247,10 @@ int RunServe(int argc, char** argv, int first_arg) {
     }
     recovered_kbs = recovered->size();
   }
-  auto default_kb = GetOrCreateKb(&registry, router.default_kb);
-  if (!default_kb.ok()) {
-    std::fprintf(stderr, "%s\n", default_kb.status().ToString().c_str());
-    return 1;
-  }
-  std::shared_ptr<api::Engine> preload = *default_kb;
-  if (preload_kb != router.default_kb) {
+  // Only a preload creates a KB: without --kb, --graph or --rules the
+  // server holds exactly the KBs it recovered.
+  std::shared_ptr<api::Engine> preload;
+  if (kb_given || !graph_file.empty() || !rules_file.empty()) {
     auto created = GetOrCreateKb(&registry, preload_kb);
     if (!created.ok()) {
       std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
@@ -298,11 +297,10 @@ int RunServe(int argc, char** argv, int first_arg) {
   } else if (!router.kb_tokens.empty()) {
     auth_desc = StringPrintf("%zu kb tokens", router.kb_tokens.size());
   }
-  std::printf("  kbs: %zu (default '%s'%s) · auth: %s · durability: %s\n",
-              registry.size(), router.default_kb.c_str(),
-              preload_kb != router.default_kb
-                  ? StringPrintf(", preloaded '%s'", preload_kb.c_str())
-                        .c_str()
+  std::printf("  kbs: %zu%s · auth: %s · durability: %s\n",
+              registry.size(),
+              preload != nullptr
+                  ? StringPrintf(" (preload '%s')", preload_kb.c_str()).c_str()
                   : "",
               auth_desc.c_str(),
               data_dir.empty()

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "api/engine.h"
 #include "core/compatibility.h"
-#include "core/session.h"
 #include "datagen/generators.h"
 #include "rules/library.h"
 #include "rules/parser.h"
@@ -69,19 +69,21 @@ TEST(Compatibility, IgnoresNonAbstractableRules) {
   EXPECT_TRUE(report.possibly_consistent);
 }
 
-TEST(SessionIntegration, MineAndAnalyze) {
-  Session session;
-  EXPECT_FALSE(session.MineConstraints().ok());  // no graph
+TEST(EngineIntegration, MineAndAnalyze) {
+  api::Engine engine;
+  EXPECT_FALSE(engine.snapshot()->MineConstraints().ok());  // no graph
   datagen::FootballDbOptions gen;
   gen.num_players = 300;
   gen.noise_rate = 0.0;
-  session.SetGraph(std::move(datagen::GenerateFootballDb(gen).graph));
-  auto report = session.MineConstraints();
+  ASSERT_TRUE(
+      engine.SetGraph(std::move(datagen::GenerateFootballDb(gen).graph)).ok());
+  auto report = engine.snapshot()->MineConstraints();
   ASSERT_TRUE(report.ok());
   ASSERT_FALSE(report->rules.empty());
-  auto added = session.AddRulesText(report->rules.front().rule.ToString());
+  auto added = engine.AddRulesText(report->rules.front().rule.ToString());
   ASSERT_TRUE(added.ok()) << added.status().ToString();
-  EXPECT_TRUE(session.AnalyzeRuleCompatibility().possibly_consistent);
+  EXPECT_TRUE(AnalyzeConstraintCompatibility(*added->snapshot->rules)
+                  .possibly_consistent);
 }
 
 }  // namespace

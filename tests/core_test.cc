@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <set>
 
+#include "api/engine.h"
 #include "core/conflict.h"
 #include "core/resolver.h"
-#include "core/session.h"
 #include "core/translator.h"
 #include "datagen/generators.h"
 #include "rules/library.h"
 #include "rules/parser.h"
+#include "rules/validator.h"
 
 namespace tecore {
 namespace core {
@@ -193,61 +194,67 @@ TEST(Resolver, HigherWeightWinsWhenConfidencesFlip) {
   EXPECT_EQ(graph.dict().Lookup(removed.object).lexical(), "Chelsea");
 }
 
-TEST(Session, FullWorkflow) {
-  Session session;
+// The demo-UI workflow — (1) select a UTKG, (2) edit rules with predicate
+// auto-completion, (3) compute, (4) browse — driven through api::Engine
+// and its snapshots.
+TEST(EngineWorkflow, FullWorkflow) {
+  api::Engine engine;
   // 1. data (the paper's Fig. 1 UTKG in .tq syntax).
-  ASSERT_TRUE(session
-                  .LoadGraphText(R"(
+  auto loaded = engine.LoadGraphText(R"(
     CR coach Chelsea [2000,2004] 0.9 .
     CR coach Leicester [2015,2017] 0.7 .
     CR playsFor Palermo [1984,1986] 0.5 .
     CR birthDate 1951 [1951,2017] 1.0 .
     CR coach Napoli [2001,2003] 0.6 .
-  )")
-                  .ok());
-  EXPECT_EQ(session.graph().NumFacts(), 5u);
+  )");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->graph->NumFacts(), 5u);
 
   // Auto-completion over predicates (Fig. 5).
-  auto completions = session.CompletePredicate("coa");
+  auto completions = engine.snapshot()->CompletePredicate("coa");
   ASSERT_EQ(completions.size(), 1u);
   EXPECT_EQ(completions[0], "coach");
-  EXPECT_TRUE(session.CompletePredicate("CR").empty());  // subject, not pred
+  // A subject, not a predicate.
+  EXPECT_TRUE(engine.snapshot()->CompletePredicate("CR").empty());
 
   // 2. rules.
-  auto added = session.AddRulesText(
+  auto added = engine.AddRulesText(
       "c2: quad(x, coach, y, t) & quad(x, coach, z, t') & y != z "
       "-> disjoint(t, t') .");
   ASSERT_TRUE(added.ok()) << added.status().ToString();
-  EXPECT_EQ(*added, 1u);
-  EXPECT_TRUE(session.ValidateRules(rules::SolverKind::kPsl).empty());
+  EXPECT_EQ(added->added, 1u);
+  EXPECT_TRUE(
+      rules::CollectProblems(*added->snapshot->rules, rules::SolverKind::kPsl)
+          .empty());
 
   // 3. compute.
-  auto report = session.DetectConflicts();
+  const auto snap = engine.snapshot();
+  auto report = snap->DetectConflicts();
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->NumConflicts(), 1u);
+  EXPECT_EQ((*report)->NumConflicts(), 1u);
 
-  ResolveOptions options;
-  auto result = session.Resolve(options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->removed_facts.size(), 1u);
+  auto solved = engine.Solve(ResolveOptions());
+  ASSERT_TRUE(solved.ok());
+  EXPECT_EQ(solved->result->removed_facts.size(), 1u);
 
   // 4. browse.
-  std::string description = session.DescribeConflict(report->conflicts()[0]);
+  std::string description =
+      snap->DescribeConflict((*report)->conflicts()[0]);
   EXPECT_NE(description.find("Napoli"), std::string::npos);
   EXPECT_NE(description.find("Chelsea"), std::string::npos);
 
   // Stats.
-  auto stats = session.GraphStats();
+  auto stats = engine.GraphStats();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->num_facts, 5u);
   EXPECT_EQ(stats->num_distinct_predicates, 3u);
 }
 
-TEST(Session, ErrorsWithoutGraph) {
-  Session session;
-  EXPECT_FALSE(session.DetectConflicts().ok());
-  EXPECT_FALSE(session.Resolve(ResolveOptions()).ok());
-  EXPECT_FALSE(session.GraphStats().ok());
+TEST(EngineWorkflow, ErrorsWithoutGraph) {
+  api::Engine engine;
+  EXPECT_FALSE(engine.snapshot()->DetectConflicts().ok());
+  EXPECT_FALSE(engine.Solve(ResolveOptions()).ok());
+  EXPECT_FALSE(engine.GraphStats().ok());
 }
 
 TEST(Resolver, MlnAndPslAgreeOnRunningExample) {

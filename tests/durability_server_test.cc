@@ -107,8 +107,8 @@ class Generation {
     registry_ = std::make_unique<api::EngineRegistry>(options);
     auto recovered = registry_->RecoverKbs();
     EXPECT_TRUE(recovered.ok());
-    // Same bring-up as `serve`: the default KB always exists (recovery
-    // may already have restored it).
+    // Same bring-up as `serve --kb default`: the preload target exists,
+    // created here unless recovery already restored it.
     auto created = registry_->Create("default");
     EXPECT_TRUE(created.ok() ||
                 created.status().code() == StatusCode::kAlreadyExists);

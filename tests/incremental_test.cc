@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "api/engine.h"
 #include "core/edits.h"
 #include "core/resolver.h"
-#include "core/session.h"
 #include "datagen/generators.h"
 #include "ground/components.h"
 #include "ground/ground_network.h"
@@ -556,49 +556,53 @@ TEST(IncrementalResolve, PslBackendSplicesToo) {
   ExpectResolutionBitIdentical(*result, kg.graph, scratch);
 }
 
-TEST(IncrementalResolve, SessionAppliesEditScriptsAndSplices) {
-  core::Session session;
+TEST(IncrementalResolve, EngineAppliesEditScriptsAndSplices) {
+  api::Engine engine;
   datagen::FootballDbOptions gen;
   gen.num_players = 200;
-  session.SetGraph(std::move(datagen::GenerateFootballDb(gen).graph));
-  session.AddRules(FootballRules(/*with_inference=*/false));
+  ASSERT_TRUE(
+      engine.SetGraph(std::move(datagen::GenerateFootballDb(gen).graph)).ok());
+  ASSERT_TRUE(engine.AddRules(FootballRules(/*with_inference=*/false)).ok());
 
   core::ResolveOptions options;
-  auto first = session.ApplyEditScript(
+  auto first = engine.ApplyEditScript(
       "+ playerX playsFor teamY [2001,2005] 0.85 .\n", options);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
 
   // Second edit: nearly every component is clean and spliced.
-  auto second = session.ApplyEditScript(
+  auto second = engine.ApplyEditScript(
       "+ playerX playsFor teamZ [2003,2007] 0.4 . # overlapping spell\n",
       options);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_GT(second->spliced_components, 0u);
-  EXPECT_LT(second->dirty_components, second->num_components / 4 + 8);
+  const core::ResolveResult& spliced = *second->result;
+  EXPECT_GT(spliced.spliced_components, 0u);
+  EXPECT_LT(spliced.dirty_components, spliced.num_components / 4 + 8);
 
+  const rdf::TemporalGraph& graph = *second->snapshot->graph;
   core::ResolveResult scratch =
-      ScratchResolve(session.graph(), session.rules(), options);
-  ExpectResolutionBitIdentical(*second, session.graph(), scratch);
+      ScratchResolve(graph, *second->snapshot->rules, options);
+  ExpectResolutionBitIdentical(spliced, graph, scratch);
 
   // Retracting a fact that does not exist is a script error — and the
   // batch is atomic: the valid insert before the bad retract must NOT
-  // leak into the graph.
-  const size_t live_before = session.graph().NumLiveFacts();
-  const uint64_t epoch_before = session.graph().edit_epoch();
-  auto bad = session.ApplyEditScript(
+  // leak into the writer's graph.
+  const rdf::TemporalGraph* writer = engine.graph_for_tests();
+  const size_t live_before = writer->NumLiveFacts();
+  const uint64_t epoch_before = writer->edit_epoch();
+  auto bad = engine.ApplyEditScript(
       "+ playerY playsFor teamQ [1999,2001] 0.5 .\n"
       "- nosuch fact here [1,2] .\n",
       options);
   EXPECT_FALSE(bad.ok());
-  EXPECT_EQ(session.graph().NumLiveFacts(), live_before);
-  EXPECT_EQ(session.graph().edit_epoch(), epoch_before);
+  EXPECT_EQ(writer->NumLiveFacts(), live_before);
+  EXPECT_EQ(writer->edit_epoch(), epoch_before);
   // Retract-after-insert of the same quad within one batch is legal.
-  auto churn = session.ApplyEditScript(
+  auto churn = engine.ApplyEditScript(
       "+ playerY playsFor teamQ [1999,2001] 0.5 .\n"
       "- playerY playsFor teamQ [1999,2001] .\n",
       options);
   ASSERT_TRUE(churn.ok()) << churn.status().ToString();
-  EXPECT_EQ(session.graph().NumLiveFacts(), live_before);
+  EXPECT_EQ(churn->snapshot->graph->NumLiveFacts(), live_before);
 }
 
 TEST(IncrementalResolve, EditScriptParsing) {

@@ -3,8 +3,8 @@
 #include <string>
 #include <vector>
 
+#include "api/engine.h"
 #include "core/conflict.h"
-#include "core/session.h"
 #include "datagen/generators.h"
 #include "mine/miner.h"
 #include "rules/ast.h"
@@ -171,19 +171,20 @@ TEST(Miner, MinedRulesDetectTheInjectedConflicts) {
 }
 
 TEST(Miner, MinedRulesSolveEndToEnd) {
-  core::Session session;
-  session.SetGraph(NoisyFootball(120));
-  const MiningReport report = Miner().Mine(session.graph());
+  api::Engine engine;
+  auto loaded = engine.SetGraph(NoisyFootball(120));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const MiningReport report = Miner().Mine(*(*loaded)->graph);
   ASSERT_FALSE(report.rules.empty());
-  auto added = session.AddRulesText(
-      rules::WriteRulesText(report.ToRuleSet()));
+  auto added =
+      engine.AddRulesText(rules::WriteRulesText(report.ToRuleSet()));
   ASSERT_TRUE(added.ok()) << added.status().ToString();
-  auto result = session.Resolve({});
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->feasible);
+  auto solved = engine.Solve({});
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  EXPECT_TRUE(solved->result->feasible);
   // Resolution dropped at least one fact: the mined constraints bind.
-  EXPECT_LT(result->consistent_graph.NumLiveFacts(),
-            session.graph().NumLiveFacts());
+  EXPECT_LT(solved->result->consistent_graph.NumLiveFacts(),
+            solved->snapshot->graph->NumLiveFacts());
 }
 
 TEST(Miner, SkipsPredicatesTheRuleLanguageCannotName) {

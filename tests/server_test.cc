@@ -1,10 +1,10 @@
 // tecore-server integration: real sockets against an in-process
 // HttpServer on an ephemeral port — the full paper workflow (load graph →
 // add rules → solve → edit → browse) over HTTP, the multi-tenant layer
-// (KB lifecycle, isolation, legacy-path deprecation, bearer-token auth,
-// SSE subscriptions, chunked request bodies) and protocol edges
-// (404/405/400/401/403/501 with the uniform error envelope, keep-alive,
-// concurrent clients during writes).
+// (KB lifecycle, isolation, the route table, bearer-token auth, SSE
+// subscriptions, chunked request bodies) and protocol edges
+// (404/405/400/401/403/501 with the uniform error envelope, conflicting
+// message framing, keep-alive, concurrent clients during writes).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -13,10 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -128,9 +130,16 @@ long long MetricValue(const std::string& exposition,
   return -1;
 }
 
+/// The per-KB endpoints the single-KB protocol once also served as
+/// `/v1/<endpoint>` aliases; since 1.0 those paths route nowhere.
+const std::vector<std::string> kFormerAliases = {
+    "graph", "rules",    "solve",   "edits", "conflicts",
+    "stats", "complete", "suggest", "mine"};
+
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The fixture's own KB: a server holds no KB it was not given.
     auto created = registry_.Create("default");
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     engine_ = *created;
@@ -147,15 +156,15 @@ class ServerTest : public ::testing::Test {
   void TearDown() override { server_->Stop(); }
 
   api::EngineRegistry registry_;
-  std::shared_ptr<api::Engine> engine_;  // the default KB
+  std::shared_ptr<api::Engine> engine_;  // the fixture's "default" KB
   std::unique_ptr<HttpServer> server_;
   int port_ = 0;
 };
 
 TEST_F(ServerTest, FullPaperWorkflowOverHttp) {
-  // 1. select a UTKG (legacy single-KB path → default KB).
+  // 1. select a UTKG.
   util::Json graph = BodyOf(Http(
-      port_, "POST", "/v1/graph",
+      port_, "POST", "/v1/kb/default/graph",
       "{\"text\":\"CR coach Chelsea [2000,2004] 0.9 .\\n"
       "CR coach Leicester [2015,2017] 0.7 .\\n"
       "CR playsFor Palermo [1984,1986] 0.5 .\\n"
@@ -166,22 +175,23 @@ TEST_F(ServerTest, FullPaperWorkflowOverHttp) {
 
   // 2. rules, with predicate auto-completion.
   util::Json complete =
-      BodyOf(Http(port_, "GET", "/v1/complete?prefix=coa"));
+      BodyOf(Http(port_, "GET", "/v1/kb/default/complete?prefix=coa"));
   ASSERT_EQ(complete.Find("completions")->items().size(), 1u);
   EXPECT_EQ(complete.Find("completions")->items()[0].string_value(),
             "coach");
   util::Json rules = BodyOf(Http(
-      port_, "POST", "/v1/rules",
+      port_, "POST", "/v1/kb/default/rules",
       "{\"text\":\"c2: quad(x, coach, y, t) & quad(x, coach, z, t') & "
       "y != z -> disjoint(t, t') .\"}"));
   EXPECT_EQ(rules.GetInt("added", -1), 1);
   EXPECT_EQ(rules.GetInt("num_rules", -1), 1);
 
   // 3. compute: conflicts, then the most probable conflict-free KG.
-  util::Json conflicts = BodyOf(Http(port_, "GET", "/v1/conflicts"));
+  util::Json conflicts =
+      BodyOf(Http(port_, "GET", "/v1/kb/default/conflicts"));
   EXPECT_EQ(conflicts.GetInt("num_conflicts", -1), 1);
-  util::Json solve =
-      BodyOf(Http(port_, "POST", "/v1/solve", "{\"solver\":\"mln\"}"));
+  util::Json solve = BodyOf(Http(port_, "POST", "/v1/kb/default/solve",
+                                 "{\"solver\":\"mln\"}"));
   EXPECT_TRUE(solve.GetBool("feasible", false));
   EXPECT_EQ(solve.GetInt("removed", -1), 1);
   ASSERT_EQ(solve.Find("removed_facts")->items().size(), 1u);
@@ -191,39 +201,42 @@ TEST_F(ServerTest, FullPaperWorkflowOverHttp) {
 
   // Edits: incremental re-solve over HTTP.
   util::Json edits = BodyOf(
-      Http(port_, "POST", "/v1/edits",
+      Http(port_, "POST", "/v1/kb/default/edits",
            "{\"script\":\"+ CR coach Bari [2006,2008] 0.5 .\\n\"}"));
   EXPECT_EQ(edits.GetInt("inserted", -1), 1);
   EXPECT_GT(edits.GetInt("version", -1), solve.GetInt("version", -1));
   EXPECT_TRUE(edits.GetBool("feasible", false));
 
   // 4. browse statistics and suggestions.
-  util::Json stats = BodyOf(Http(port_, "GET", "/v1/stats"));
+  util::Json stats = BodyOf(Http(port_, "GET", "/v1/kb/default/stats"));
   EXPECT_EQ(stats.Find("stats")->GetInt("num_facts", -1), 6);
-  util::Json suggest = BodyOf(Http(port_, "GET", "/v1/suggest"));
+  util::Json suggest =
+      BodyOf(Http(port_, "GET", "/v1/kb/default/suggest"));
   EXPECT_NE(suggest.Find("suggestions"), nullptr);
-  util::Json info = BodyOf(Http(port_, "GET", "/v1/graph"));
+  util::Json info = BodyOf(Http(port_, "GET", "/v1/kb/default/graph"));
   EXPECT_TRUE(info.GetBool("has_result", false));
-
-  // The same workflow is reachable at the tenant-scoped successor path.
-  util::Json scoped = BodyOf(Http(port_, "GET", "/v1/kb/default/graph"));
-  EXPECT_EQ(scoped.GetInt("num_facts", -1), 6);
+  EXPECT_EQ(info.GetInt("num_facts", -1), 6);
 }
 
-TEST_F(ServerTest, LegacyPathsCarryDeprecationHeaders) {
+TEST_F(ServerTest, FormerAliasPathsAreNotFound) {
+  // The KB the aliases once served exists and holds a graph, so a 404
+  // here is the missing route, not a missing KB.
   ASSERT_TRUE(engine_->LoadGraphText("a p b [1,2] 0.9 .").ok());
-  const std::string legacy = Http(port_, "GET", "/v1/graph");
-  EXPECT_EQ(StatusOf(legacy), 200);
-  EXPECT_TRUE(HasHeader(legacy, "Deprecation: true")) << legacy;
-  EXPECT_TRUE(HasHeader(
-      legacy, "Link: </v1/kb/default/graph>; rel=\"successor-version\""))
-      << legacy;
-  // The successor path answers identically, without the deprecation mark.
-  const std::string scoped = Http(port_, "GET", "/v1/kb/default/graph");
-  EXPECT_EQ(StatusOf(scoped), 200);
-  EXPECT_FALSE(HasHeader(scoped, "Deprecation: true")) << scoped;
-  EXPECT_EQ(BodyOf(legacy).GetInt("num_facts", -1),
-            BodyOf(scoped).GetInt("num_facts", -1));
+  for (const std::string& name : kFormerAliases) {
+    for (const char* method : {"GET", "POST"}) {
+      const std::string path = "/v1/" + name;
+      const std::string response = Http(port_, method, path);
+      EXPECT_EQ(StatusOf(response), 404) << method << " " << path;
+      util::Json error = BodyOf(response);
+      EXPECT_EQ(ErrorCodeOf(error), "NotFound") << response;
+      EXPECT_EQ(error.Find("error")->GetString("message", ""),
+                StringPrintf("no such endpoint: %s %s", method, path.c_str()));
+      EXPECT_FALSE(HasHeader(response, "Deprecation:")) << response;
+      EXPECT_FALSE(HasHeader(response, "Link:")) << response;
+    }
+  }
+  // The tenant path still answers.
+  EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/default/graph")), 200);
 }
 
 TEST_F(ServerTest, KbLifecycleAndIsolation) {
@@ -268,7 +281,7 @@ TEST_F(ServerTest, KbLifecycleAndIsolation) {
                 .GetInt("version", -1),
             1);
 
-  // List shows all three, sorted.
+  // List shows all three, sorted (the fixture created "default").
   util::Json list = BodyOf(Http(port_, "GET", "/v1/kb"));
   ASSERT_EQ(list.GetInt("num_kbs", -1), 3);
   const auto& kbs = list.Find("kbs")->items();
@@ -290,25 +303,95 @@ TEST_F(ServerTest, ErrorEnvelopeIsUniform) {
   EXPECT_EQ(ErrorCodeOf(nf), "NotFound");
   EXPECT_EQ(ErrorCodeOf(BodyOf(Http(port_, "GET", "/v1/kb/ghost/stats"))),
             "NotFound");
-  // 405 — wrong method.
-  const std::string mna = Http(port_, "DELETE", "/v1/solve");
-  EXPECT_EQ(StatusOf(mna), 405);
-  EXPECT_EQ(ErrorCodeOf(BodyOf(mna)), "MethodNotAllowed");
-  EXPECT_TRUE(HasHeader(mna, "Allow: POST")) << mna;
+  // 405 — a method outside the route table's row, with the row's list as
+  // `Allow`. Every row is checked, and the lists are pinned to the wire.
+  const std::map<std::string, std::string> expected_allow = {
+      {"graph", "GET, POST"},     {"rules", "GET, POST, DELETE"},
+      {"solve", "POST"},          {"edits", "POST"},
+      {"conflicts", "GET"},       {"stats", "GET"},
+      {"complete", "GET"},        {"suggest", "GET, POST"},
+      {"mine", "POST"},           {"subscribe", "GET"}};
+  const std::vector<std::pair<std::string, std::string>> table =
+      KbEndpointMethods();
+  ASSERT_EQ(table.size(), expected_allow.size());
+  std::vector<std::pair<std::string, std::string>> refused;
+  for (const auto& [name, allow] : table) {
+    ASSERT_EQ(expected_allow.count(name), 1u) << name;
+    EXPECT_EQ(allow, expected_allow.at(name)) << name;
+    refused.emplace_back("/v1/kb/default/" + name, allow);
+  }
+  // The lifecycle routes and /metrics answer 405 the same way.
+  refused.emplace_back("/v1/kb", "GET, POST");
+  refused.emplace_back("/v1/kb/default", "GET, DELETE");
+  refused.emplace_back("/metrics", "GET");
+  for (const auto& [path, allow] : refused) {
+    for (const char* method : {"GET", "POST", "DELETE", "PUT", "PATCH"}) {
+      const std::vector<std::string> listed = Split(allow, ',');
+      if (std::find_if(listed.begin(), listed.end(),
+                       [&](const std::string& m) {
+                         return Trim(m) == method;
+                       }) != listed.end()) {
+        continue;
+      }
+      const std::string mna = Http(port_, method, path);
+      EXPECT_EQ(StatusOf(mna), 405) << method << " " << path;
+      EXPECT_EQ(ErrorCodeOf(BodyOf(mna)), "MethodNotAllowed") << mna;
+      EXPECT_TRUE(HasHeader(mna, "\r\nAllow: " + allow + "\r\n")) << mna;
+    }
+  }
   // 400 — malformed JSON and domain validation.
-  util::Json bad = BodyOf(Http(port_, "POST", "/v1/graph", "{oops"));
+  util::Json bad =
+      BodyOf(Http(port_, "POST", "/v1/kb/default/graph", "{oops"));
   EXPECT_EQ(ErrorCodeOf(bad), "ParseError");
-  EXPECT_EQ(ErrorCodeOf(BodyOf(Http(port_, "POST", "/v1/graph", "{}"))),
+  EXPECT_EQ(ErrorCodeOf(
+                BodyOf(Http(port_, "POST", "/v1/kb/default/graph", "{}"))),
             "InvalidArgument");
-  EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/stats")), 400);  // no graph
-  EXPECT_EQ(StatusOf(Http(port_, "POST", "/v1/solve")), 400);  // no graph
+  // No graph loaded yet.
+  EXPECT_EQ(StatusOf(Http(port_, "GET", "/v1/kb/default/stats")), 400);
+  EXPECT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/default/solve")), 400);
   // 501 — transfer encodings we must not guess at.
   const std::string gzip = RawRequest(
       port_,
-      "POST /v1/graph HTTP/1.1\r\nHost: t\r\n"
+      "POST /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n"
       "Transfer-Encoding: gzip\r\n\r\n");
   EXPECT_EQ(StatusOf(gzip), 501) << gzip;
   EXPECT_EQ(ErrorCodeOf(BodyOf(gzip)), "Unsupported");
+  // 400 and close — a message framed two ways (RFC 9112 §6.3). Each
+  // carries a pipelined second request: had the server picked one header
+  // and kept the connection, that request would get a second response.
+  const std::string body = "{\"text\":\"a p b [1,2] 0.9 .\\n\"}";
+  const std::string next =
+      "GET /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n"
+      "Connection: close\r\n\r\n";
+  const std::string both = RawRequest(
+      port_, StringPrintf("POST /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n"
+                          "Content-Length: 3\r\n"
+                          "Transfer-Encoding: chunked\r\n\r\n"
+                          "%zx\r\n%s\r\n0\r\n\r\n",
+                          body.size(), body.c_str()) +
+                 next);
+  const std::string disagree = RawRequest(
+      port_, StringPrintf("POST /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n"
+                          "Content-Length: 0\r\n"
+                          "Content-Length: %zu\r\n\r\n%s",
+                          body.size(), body.c_str()) +
+                 next);
+  for (const std::string* framed : {&both, &disagree}) {
+    EXPECT_EQ(StatusOf(*framed), 400) << *framed;
+    EXPECT_EQ(ErrorCodeOf(BodyOf(*framed)), "InvalidArgument") << *framed;
+    EXPECT_TRUE(HasHeader(*framed, "Connection: close")) << *framed;
+    EXPECT_EQ(framed->find("HTTP/1.1", 1), std::string::npos) << *framed;
+  }
+  // Neither refused body reached the KB.
+  EXPECT_EQ(engine_->version(), 0u);
+  // A repeated Content-Length with one value is harmless framing.
+  const std::string repeated = RawRequest(
+      port_, StringPrintf("POST /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n"
+                          "Content-Length: %zu\r\nContent-Length: %zu\r\n"
+                          "Connection: close\r\n\r\n%s",
+                          body.size(), body.size(), body.c_str()));
+  EXPECT_EQ(StatusOf(repeated), 200) << repeated;
+  EXPECT_EQ(BodyOf(repeated).GetInt("num_facts", -1), 1);
 }
 
 TEST_F(ServerTest, AuthTokenGate) {
@@ -390,8 +473,9 @@ TEST_F(ServerTest, ChunkedRequestBodiesAreDecoded) {
 TEST_F(ServerTest, KeepAliveServesSequentialRequests) {
   ASSERT_TRUE(engine_->LoadGraphText("a p b [1,2] 0.9 .").ok());
   const std::string two =
-      "GET /v1/graph HTTP/1.1\r\nHost: t\r\n\r\n"
-      "GET /v1/graph HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
+      "GET /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n\r\n"
+      "GET /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n"
+      "Connection: close\r\n\r\n";
   const std::string response = RawRequest(port_, two);
   // Two complete responses on one connection.
   size_t first = response.find("HTTP/1.1 200");
@@ -415,7 +499,8 @@ TEST_F(ServerTest, ConcurrentReadsDuringWrites) {
   for (int t = 0; t < 3; ++t) {
     clients.emplace_back([this, &failures] {
       for (int i = 0; i < 10; ++i) {
-        const std::string response = Http(port_, "GET", "/v1/graph");
+        const std::string response =
+            Http(port_, "GET", "/v1/kb/default/graph");
         if (StatusOf(response) != 200) {
           ++failures;
           return;
@@ -435,7 +520,8 @@ TEST_F(ServerTest, ConcurrentReadsDuringWrites) {
     const std::string script = StringPrintf(
         "{\"script\":\"+ CR coach club%d [%d,%d] 0.5 .\\n\"}", b, 2006 + b,
         2007 + b);
-    EXPECT_EQ(StatusOf(Http(port_, "POST", "/v1/edits", script)), 200);
+    EXPECT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/default/edits", script)),
+              200);
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
@@ -918,16 +1004,17 @@ TEST_F(ServerTest, MetricsEndpointExposesAssertedValues) {
 
 TEST_F(ServerTest, MetricsCountPipelineStages) {
   const std::string before = TextBodyOf(Http(port_, "GET", "/metrics"));
-  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/graph",
+  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/default/graph",
                           "{\"text\":\"x coach a [1,5] 0.9 .\\n"
                           "x coach b [2,6] 0.8 .\\n\"}")),
             200);
   ASSERT_EQ(StatusOf(Http(
-                port_, "POST", "/v1/rules",
+                port_, "POST", "/v1/kb/default/rules",
                 "{\"text\":\"c1: quad(x, coach, y, t) & "
                 "quad(x, coach, z, t') & y != z -> disjoint(t, t') .\"}")),
             200);
-  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/solve", "{}")), 200);
+  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/default/solve", "{}")),
+            200);
   const std::string after = TextBodyOf(Http(port_, "GET", "/metrics"));
   const auto delta = [&](const char* stage) {
     const std::string series = StringPrintf(
@@ -1163,12 +1250,21 @@ TEST_F(ServerTest, PerKbTokensScopeAccessToTheirKb) {
             200);
   EXPECT_EQ(StatusOf(Http(*port, "GET", "/v1/kb/alpha", "", alpha)), 200);
 
-  // …and nowhere else: sibling KBs, the legacy default KB, admin surface.
+  // …and nowhere else: sibling KBs, unrouted paths, admin surface.
   const std::string cross =
       Http(*port, "GET", "/v1/kb/beta/stats", "", alpha);
   EXPECT_EQ(StatusOf(cross), 403);
   EXPECT_EQ(ErrorCodeOf(BodyOf(cross)), "PermissionDenied");
-  EXPECT_EQ(StatusOf(Http(*port, "GET", "/v1/stats", "", alpha)), 403);
+  // A former `/v1/<endpoint>` alias is unrouted, so admin scope: the KB
+  // token gets 403 (never a revealing 404), the service token 404.
+  for (const std::string& name : kFormerAliases) {
+    EXPECT_EQ(StatusOf(Http(*port, "GET", "/v1/" + name, "", alpha)), 403)
+        << name;
+    EXPECT_EQ(StatusOf(Http(*port, "POST", "/v1/" + name, "", alpha)), 403)
+        << name;
+    EXPECT_EQ(StatusOf(Http(*port, "GET", "/v1/" + name, "", service)), 404)
+        << name;
+  }
   EXPECT_EQ(StatusOf(Http(*port, "GET", "/v1/kb", "", alpha)), 403);
   EXPECT_EQ(StatusOf(Http(*port, "DELETE", "/v1/kb/alpha", "", alpha)), 403);
   EXPECT_EQ(StatusOf(Http(*port, "POST", "/v1/kb", "{\"name\":\"x\"}",
