@@ -11,7 +11,9 @@
 // A second workload replays the service's interactive edit: one insert of
 // a predicate no rule reads (a team's `locatedIn`) under the constraint
 // rules, which takes the grounding fast path, and reports where each edit's
-// time goes (delta grounding, fast-path placement, solve, assembly).
+// time goes (delta grounding, fast-path placement, solve, assembly). It
+// runs at 2,000 and 20,000 players: a one-fact edit should cost about the
+// same at both sizes.
 //
 // `--json out.json` writes the measurements machine-readably
 // (BENCH_incremental.json, every record with `hw_threads`); `--smoke`
@@ -120,7 +122,7 @@ std::vector<std::string> ObjectsOf(const rdf::TemporalGraph& graph,
 /// constraint rules (which never read `locatedIn`). Every edit takes the
 /// grounding fast path; the record splits the edit into delta grounding,
 /// fast-path placement ("rebuild_ms"), solve, and assembly (partition
-/// update, kept/removed, output graph).
+/// update, kept/removed lists).
 bool RunRelocations(size_t players, int edits, BenchJson* json) {
   auto rules = rules::FootballConstraints();
   if (!rules.ok()) return false;
@@ -307,8 +309,11 @@ int main(int argc, char** argv) {
     json.Metric("objective_match", match ? 1.0 : 0.0);
   }
   std::printf("%s\n", table.ToAscii().c_str());
-  const bool relocations_ok = RunRelocations(players, smoke ? 16 : 64, &json);
-  all_match = all_match && relocations_ok;
+  const std::vector<size_t> relocate_players =
+      smoke ? std::vector<size_t>{players} : std::vector<size_t>{2000, 20000};
+  for (size_t n : relocate_players) {
+    all_match = RunRelocations(n, smoke ? 16 : 64, &json) && all_match;
+  }
   std::printf("shape (incremental bit-identical to full pipeline): %s\n",
               all_match ? "MATCH" : "MISMATCH");
   std::printf("shape (single-fact edit >= 5x faster than full): %s "

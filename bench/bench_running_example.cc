@@ -59,7 +59,7 @@ int RunBackend(rules::SolverKind solver) {
   std::printf("derived facts (f1-f3):\n");
   for (const core::DerivedFact& derived : result->derived_facts) {
     std::printf("  %s  score=%.3f\n",
-                result->consistent_graph.FactToString(derived.fact).c_str(),
+                graph.FactToString(derived.fact).c_str(),
                 derived.score);
   }
   std::printf("%s", result->StatsPanel().c_str());

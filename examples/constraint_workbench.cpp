@@ -191,12 +191,12 @@ int main() {
       }
       const core::ResolveResult& result = *solved->result;
       std::printf("%s", result.StatsPanel().c_str());
-      if (result.consistent_graph.NumFacts() <= 30) {
+      const rdf::TemporalGraph repaired =
+          result.ConsistentGraph(*solved->snapshot->graph);
+      if (repaired.NumFacts() <= 30) {
         std::printf("consistent KG:\n");
-        for (rdf::FactId id = 0; id < result.consistent_graph.NumFacts();
-             ++id) {
-          std::printf("  %s\n",
-                      result.consistent_graph.FactToString(id).c_str());
+        for (rdf::FactId id = 0; id < repaired.NumFacts(); ++id) {
+          std::printf("  %s\n", repaired.FactToString(id).c_str());
         }
       }
     } else {

@@ -60,8 +60,9 @@ int main() {
   const core::ResolveResult& result = *solved->result;
   const rdf::TemporalGraph& graph = *solved->snapshot->graph;
   std::printf("\nmost probable conflict-free temporal KG:\n");
-  for (const rdf::TemporalFact& fact : result.consistent_graph.facts()) {
-    std::printf("  %s\n", result.consistent_graph.FactToString(fact).c_str());
+  const rdf::TemporalGraph repaired = result.ConsistentGraph(graph);
+  for (const rdf::TemporalFact& fact : repaired.facts()) {
+    std::printf("  %s\n", repaired.FactToString(fact).c_str());
   }
   std::printf("\nremoved as noisy:\n");
   for (rdf::FactId id : result.removed_facts) {

@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
   std::printf("\n%s", result->StatsPanel().c_str());
 
   // Sanity: the repaired graph is conflict-free.
-  core::ConflictDetector recheck(&result->consistent_graph, *constraints);
+  rdf::TemporalGraph repaired = result->ConsistentGraph(kg.graph);
+  core::ConflictDetector recheck(&repaired, *constraints);
   auto clean = recheck.Detect();
   if (!clean.ok()) return 1;
   std::printf("conflicts remaining after repair: %zu\n",

@@ -40,7 +40,9 @@ namespace api {
 /// The fact/term ids of `graph` are interchangeable with the writer-side
 /// graph the cached `result` was computed against (see
 /// rdf::TemporalGraph::Clone), which is what makes
-/// `graph->FactToString(result->kept_facts[i])` well-defined here.
+/// `graph->FactToString(result->kept_facts[i])` and
+/// `graph->FactToString(result->derived_facts[i].fact)` well-defined here,
+/// and `result->ConsistentGraph(*graph)` the repaired KG of this version.
 class Snapshot {
  public:
   /// Monotonically increasing publish version; 0 = pristine engine.

@@ -405,8 +405,9 @@ Json SolveJson(uint64_t version, const rdf::TemporalGraph& graph,
   for (size_t i = 0; i < result.derived_facts.size() && i < max_facts; ++i) {
     const core::DerivedFact& df = result.derived_facts[i];
     Json entry = Json::Object();
-    // Derived facts reference the dictionary of the output graph.
-    entry.Set("fact", Json::Str(result.consistent_graph.FactToString(df.fact)));
+    // Derived facts carry term ids of the solved graph's dictionary,
+    // which `graph` shares.
+    entry.Set("fact", Json::Str(graph.FactToString(df.fact)));
     entry.Set("score", Json::Number(df.score));
     derived.Append(std::move(entry));
   }

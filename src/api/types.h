@@ -119,7 +119,8 @@ util::Json ConflictsJson(const Snapshot& snapshot,
                          const core::ConflictReport& report, size_t limit);
 
 /// \brief `POST /v1/solve` — the resolution result. `graph` must be the
-/// snapshot graph the result was computed against (fact ids align);
+/// snapshot graph the result was computed against (fact and term ids
+/// align, so removed, kept and derived facts all render through it);
 /// `version` is the publish version of that snapshot.
 util::Json SolveJson(uint64_t version, const rdf::TemporalGraph& graph,
                      const core::ResolveResult& result, size_t max_facts,

@@ -444,11 +444,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    auto run = [&]() -> Result<std::shared_ptr<const core::ResolveResult>> {
-      if (!flags.count("edits")) {
-        TECORE_ASSIGN_OR_RETURN(solved, engine.Solve(options));
-        return solved.result;
-      }
+    // Either way the outcome pairs the result with the snapshot it was
+    // solved on, whose graph `--out` materializes the repaired KG against.
+    auto run = [&]() -> Result<api::SolveOutcome> {
+      if (!flags.count("edits")) return engine.Solve(options);
       // The engine parses and applies the script atomically under its
       // writer lock, seeding the incremental state with a full solve.
       TECORE_ASSIGN_OR_RETURN(script,
@@ -456,23 +455,26 @@ int main(int argc, char** argv) {
       std::printf("applying edit script %s (incremental re-solve)\n",
                   flags["edits"].c_str());
       TECORE_ASSIGN_OR_RETURN(edited, engine.ApplyEditScript(script, options));
-      return edited.result;
+      return api::SolveOutcome{edited.version, /*cached=*/false, edited.result,
+                               edited.snapshot};
     };
     auto solved = run();
     if (!solved.ok()) {
       std::fprintf(stderr, "%s\n", solved.status().ToString().c_str());
       return 1;
     }
-    const core::ResolveResult& result = **solved;
+    const core::ResolveResult& result = *solved->result;
     std::printf("%s", result.StatsPanel().c_str());
     if (flags.count("out")) {
-      Status saved = rdf::SaveGraphFile(result.consistent_graph, flags["out"]);
+      const rdf::TemporalGraph repaired =
+          result.ConsistentGraph(*solved->snapshot->graph);
+      Status saved = rdf::SaveGraphFile(repaired, flags["out"]);
       if (!saved.ok()) {
         std::fprintf(stderr, "%s\n", saved.ToString().c_str());
         return 1;
       }
       std::printf("wrote repaired KG (%zu facts) to %s\n",
-                  result.consistent_graph.NumFacts(), flags["out"].c_str());
+                  repaired.NumFacts(), flags["out"].c_str());
     }
     return result.feasible ? 0 : 1;
   }

@@ -25,7 +25,7 @@ bool UsesComponents(const ResolveOptions& options) {
 /// its partition across edits) — what keeps their outputs bit-identical
 /// by construction. `fact_atoms` maps each graph fact to its evidence atom.
 Result<ResolveResult> SolveAndAssemble(
-    rdf::TemporalGraph* graph, const ground::GroundNetwork& net,
+    const rdf::TemporalGraph& graph, const ground::GroundNetwork& net,
     const std::vector<ground::AtomId>& fact_atoms,
     const ResolveOptions& options, ground::ComponentPartition* components) {
   static const auto stage_hist = obs::StageHistogram("solve");
@@ -75,18 +75,15 @@ Result<ResolveResult> SolveAndAssemble(
   reused_total->Inc(result.spliced_components);
 
   // --- Map atoms back to facts (retracted facts are out of the game).
-  std::vector<bool> keep_mask(graph->NumFacts(), false);
-  for (rdf::FactId id = 0; id < graph->NumFacts(); ++id) {
-    if (!graph->is_live(id)) continue;
+  for (rdf::FactId id = 0; id < graph.NumFacts(); ++id) {
+    if (!graph.is_live(id)) continue;
     const ground::AtomId atom = fact_atoms[id];
     if (atom != ground::GroundNetwork::kInvalidAtomId && values[atom]) {
-      keep_mask[id] = true;
       result.kept_facts.push_back(id);
     } else {
       result.removed_facts.push_back(id);
     }
   }
-  result.consistent_graph = graph->Filter(keep_mask);
 
   // Derived atoms form the block after the evidence prefix.
   const ground::AtomId derived_begin = net.NumEvidenceAtoms();
@@ -118,18 +115,9 @@ Result<ResolveResult> SolveAndAssemble(
       ++result.derived_below_threshold;
       continue;
     }
-    // Materialize into the output graph (confidence = score). The derived
-    // fact's term ids reference the *output* graph's dictionary.
-    rdf::TemporalFact copy(
-        result.consistent_graph.dict().Intern(graph->dict().Lookup(ga.subject)),
-        result.consistent_graph.dict().Intern(
-            graph->dict().Lookup(ga.predicate)),
-        result.consistent_graph.dict().Intern(graph->dict().Lookup(ga.object)),
-        ga.interval, std::clamp(score, 1e-6, 1.0));
-    Result<rdf::FactId> added = result.consistent_graph.Add(copy);
-    (void)added;
     DerivedFact derived;
-    derived.fact = copy;
+    derived.fact = rdf::TemporalFact(ga.subject, ga.predicate, ga.object,
+                                     ga.interval, std::clamp(score, 1e-6, 1.0));
     derived.score = score;
     result.derived_facts.push_back(std::move(derived));
   }
@@ -151,7 +139,7 @@ Result<ResolveResult> Resolver::Run() {
   ground::ComponentPartition components;
   if (UsesComponents(options_)) components.Build(grounding.network);
   TECORE_ASSIGN_OR_RETURN(
-      result, SolveAndAssemble(graph_, grounding.network, grounding.fact_atoms,
+      result, SolveAndAssemble(*graph_, grounding.network, grounding.fact_atoms,
                                options_, &components));
   result.ground_time_ms = grounding.ground_time_ms;
   result.total_time_ms = total_timer.ElapsedMillis();
@@ -171,7 +159,7 @@ Result<ResolveResult> IncrementalResolver::Initialize() {
   components_ = ground::ComponentPartition();
   if (UsesComponents(options_)) components_.Build(state_.network);
   TECORE_ASSIGN_OR_RETURN(
-      result, SolveAndAssemble(graph_, state_.network, state_.fact_atoms,
+      result, SolveAndAssemble(*graph_, state_.network, state_.fact_atoms,
                                options_, &components_));
   initialized_ = true;
   result.ground_time_ms = stats.ground_time_ms;
@@ -207,7 +195,7 @@ Result<ResolveResult> IncrementalResolver::ApplyEdits(
     }
   }
   TECORE_ASSIGN_OR_RETURN(
-      result, SolveAndAssemble(graph_, state_.network, state_.fact_atoms,
+      result, SolveAndAssemble(*graph_, state_.network, state_.fact_atoms,
                                options_, &components_));
   result.ground_time_ms = stats.delta_ground_ms + stats.rebuild_ms;
   result.total_time_ms = total_timer.ElapsedMillis();
@@ -251,6 +239,23 @@ bool SameResolveConfig(const ResolveOptions& a, const ResolveOptions& b) {
       a.grounding.semi_naive == b.grounding.semi_naive;
   return a.solver == b.solver && a.derived_threshold == b.derived_threshold &&
          mln_same && psl_same && grounding_same;
+}
+
+rdf::TemporalGraph ResolveResult::ConsistentGraph(
+    const rdf::TemporalGraph& solved_on) const {
+  std::vector<bool> keep(solved_on.NumFacts(), false);
+  for (rdf::FactId id : kept_facts) keep[id] = true;
+  rdf::TemporalGraph out = solved_on.Filter(keep);
+  // Derived facts follow in order, re-interned into the output dictionary.
+  for (const DerivedFact& derived : derived_facts) {
+    const rdf::TemporalFact& f = derived.fact;
+    (void)out.Add(rdf::TemporalFact(
+        out.dict().Intern(solved_on.dict().Lookup(f.subject)),
+        out.dict().Intern(solved_on.dict().Lookup(f.predicate)),
+        out.dict().Intern(solved_on.dict().Lookup(f.object)), f.interval,
+        f.confidence));
+  }
+  return out;
 }
 
 std::string ResolveResult::StatsPanel() const {

@@ -25,8 +25,9 @@ struct ResolveOptions {
   mln::MlnSolverOptions mln;
   psl::PslSolverOptions psl;
   ground::GroundingOptions grounding;
-  /// Derived facts with a confidence score below this are removed from the
-  /// output graph (the paper's threshold feature); 0 keeps everything.
+  /// Derived facts with a confidence score below this are dropped from the
+  /// result and the repaired KG (the paper's threshold feature); 0 keeps
+  /// everything.
   double derived_threshold = 0.0;
 };
 
@@ -38,7 +39,10 @@ bool SameResolveConfig(const ResolveOptions& a, const ResolveOptions& b);
 
 /// \brief A fact derived by the inference rules during MAP.
 struct DerivedFact {
-  /// Term ids reference the dictionary of `ResolveResult::consistent_graph`.
+  /// Term ids reference the dictionary of the graph the result was solved
+  /// on: the graph handed to Resolver / IncrementalResolver, or any
+  /// id-preserving Clone of it (such as an api::Snapshot's graph).
+  /// Confidence is the score, clamped to [1e-6, 1].
   rdf::TemporalFact fact;
   /// Confidence score: the PSL soft truth value, or (for MLN) the sigmoid
   /// of the strongest supporting rule weight.
@@ -53,9 +57,6 @@ struct ResolveResult {
   /// Derived facts whose score passed the threshold.
   std::vector<DerivedFact> derived_facts;
   size_t derived_below_threshold = 0;
-  /// The expanded, conflict-free output graph G_inferred
-  /// (kept input facts + surviving derived facts).
-  rdf::TemporalGraph consistent_graph;
 
   // --- diagnostics ---
   std::string solver_name;
@@ -75,6 +76,12 @@ struct ResolveResult {
   size_t spliced_components = 0;
   size_t dirty_components = 0;
 
+  /// \brief Materialize the expanded, conflict-free output graph
+  /// G_inferred: the kept input facts in id order, then the derived facts,
+  /// under a freshly interned dictionary. `solved_on` is the graph the
+  /// result was computed on, or an id-preserving Clone of it. O(graph).
+  rdf::TemporalGraph ConsistentGraph(const rdf::TemporalGraph& solved_on) const;
+
   /// \brief Statistics panel like the demo UI's results screen (Fig. 8).
   std::string StatsPanel() const;
 };
@@ -84,8 +91,9 @@ struct ResolveResult {
 /// Grounds the UTKG with the inference rules and constraints, runs MAP
 /// inference on the chosen backend, and maps the MAP state back to facts:
 /// evidence atoms assigned false are the noisy facts to remove; derived
-/// atoms assigned true materialize the implicit knowledge. The result is
-/// the most probable, expanded, conflict-free temporal KG.
+/// atoms assigned true are the implicit knowledge. The result lists both
+/// by the solved graph's ids; ResolveResult::ConsistentGraph materializes
+/// the most probable, expanded, conflict-free temporal KG on request.
 class Resolver {
  public:
   Resolver(rdf::TemporalGraph* graph, const rules::RuleSet& rules,
@@ -126,13 +134,13 @@ class Resolver {
 ///
 /// Determinism contract: every ApplyEdits() result — atom ids and clause
 /// layout of the maintained network, kept/removed fact sets, derived
-/// facts, and the objective — is bit-identical to a from-scratch
-/// Resolver::Run on the edited KB. The network canonicalization
-/// (GroundNetwork::Canonicalize) makes that an equality of bytes rather
-/// than an equivalence up to reordering, and the solvers reduce component
-/// outcomes in canonical component order (ascending lowest atom id), so
-/// carried and freshly solved outcomes sum exactly as a from-scratch solve
-/// does.
+/// facts (their terms, intervals and scores), and the objective — is
+/// bit-identical to a from-scratch Resolver::Run on the edited KB. The
+/// network canonicalization (GroundNetwork::Canonicalize) makes that an
+/// equality of bytes rather than an equivalence up to reordering, and the
+/// solvers reduce component outcomes in canonical component order
+/// (ascending lowest atom id), so carried and freshly solved outcomes sum
+/// exactly as a from-scratch solve does.
 ///
 /// The rule set must not change between calls; solver options are fixed at
 /// construction (callers wanting different options start a new instance).

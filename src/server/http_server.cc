@@ -22,6 +22,18 @@ namespace server {
 
 namespace {
 
+/// RFC 9110 §5.6.2: a field name is a non-empty run of `tchar`.
+bool IsToken(std::string_view s) {
+  if (s.empty()) return false;
+  for (char c : s) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) &&
+        std::string_view("!#$%&'*+-.^_`|~").find(c) == std::string_view::npos) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Percent-decode a URL component ('+' is a space in query strings).
 std::string UrlDecode(std::string_view s) {
   std::string out;
@@ -297,6 +309,11 @@ void HttpServer::ServeConnection(int fd) {
                                 "with Transfer-Encoding, or Content-Length "
                                 "values that disagree");
           break;
+        case ReadError::kMalformedField:
+          response = ErrorReply(400, "InvalidArgument",
+                                "malformed header field line: a field name "
+                                "is a token directly followed by ':'");
+          break;
         case ReadError::kTooLarge:
           response = ErrorReply(
               413, "PayloadTooLarge",
@@ -383,9 +400,17 @@ bool HttpServer::ReadRequest(int fd, HttpRequest* request, bool* keep_alive,
     std::string_view line = headers.substr(0, eol);
     headers = eol == std::string_view::npos ? std::string_view()
                                             : headers.substr(eol + 2);
+    // A line without a colon, or whose name is not a token (whitespace
+    // before the colon, or a leading SP/HTAB folding it onto the previous
+    // line), is refused, never trimmed into a field: a proxy that reads it
+    // differently would see a different Content-Length or
+    // Transfer-Encoding, hence a different request boundary.
     const size_t colon = line.find(':');
-    if (colon == std::string_view::npos) continue;
-    std::string_view name = Trim(line.substr(0, colon));
+    if (colon == std::string_view::npos || !IsToken(line.substr(0, colon))) {
+      *error = ReadError::kMalformedField;
+      return false;
+    }
+    std::string_view name = line.substr(0, colon);
     std::string_view value = Trim(line.substr(colon + 1));
     request->headers.emplace_back(std::string(name), std::string(value));
     if (AsciiIEquals(name, "content-length")) {

@@ -146,6 +146,8 @@ class HttpServer {
     kUnsupported,  ///< Transfer-Encoding we must not guess at → 501
     kConflictingFraming,  ///< Content-Length with Transfer-Encoding, or
                           ///< Content-Length values that disagree → 400
+    kMalformedField,  ///< header line without a colon, or whose name is
+                      ///< not a token (obs-fold, space before ':') → 400
     kTooLarge,     ///< declared or accumulated body over max_body_bytes → 413
     kHeadersTooLarge,  ///< headers alone over max_header_bytes → 431
   };
@@ -159,7 +161,8 @@ class HttpServer {
   /// Sets `*error` (and returns false) when the connection deserves an
   /// error response before closing: a Transfer-Encoding we must not guess
   /// at (501 — answering on guessed framing would desync the connection),
-  /// framing that two headers dispute (400, RFC 9112 §6.3), a body over
+  /// framing that two headers dispute (400, RFC 9112 §6.3), a malformed
+  /// header field line (400, RFC 9112 §5.1-5.2 and §2.2), a body over
   /// Options::max_body_bytes (413, for both Content-Length and chunked
   /// uploads), or headers over Options::max_header_bytes (431).
   bool ReadRequest(int fd, HttpRequest* request, bool* keep_alive,

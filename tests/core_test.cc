@@ -82,8 +82,9 @@ TEST_P(RunningExampleTest, DerivesWorksForAndLivesIn) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   bool works_for = false, lives_in = false;
-  const auto& dict = result->consistent_graph.dict();
-  for (const rdf::TemporalFact& f : result->consistent_graph.facts()) {
+  const rdf::TemporalGraph repaired = result->ConsistentGraph(graph);
+  const auto& dict = repaired.dict();
+  for (const rdf::TemporalFact& f : repaired.facts()) {
     const std::string pred = dict.Lookup(f.predicate).lexical();
     if (pred == "worksFor" &&
         dict.Lookup(f.object).lexical() == "Palermo") {

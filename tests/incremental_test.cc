@@ -86,9 +86,16 @@ std::vector<rdf::FactId> ToLiveRanks(const rdf::TemporalGraph& graph,
   return out;
 }
 
+/// A from-scratch reference result with the graph it was solved on.
+struct ScratchResolution {
+  rdf::TemporalGraph graph;
+  core::ResolveResult result;
+};
+
 void ExpectResolutionBitIdentical(const core::ResolveResult& incremental,
                                   const rdf::TemporalGraph& edited_graph,
-                                  const core::ResolveResult& scratch) {
+                                  const ScratchResolution& reference) {
+  const core::ResolveResult& scratch = reference.result;
   // The chunked columnar store must stay structurally sound under the
   // incremental pipeline's in-place mutations.
   Status invariants = edited_graph.CheckInvariants();
@@ -109,25 +116,25 @@ void ExpectResolutionBitIdentical(const core::ResolveResult& incremental,
     EXPECT_EQ(incremental.derived_facts[i].score,
               scratch.derived_facts[i].score);
     EXPECT_EQ(
-        incremental.consistent_graph.FactToString(
-            incremental.derived_facts[i].fact),
-        scratch.consistent_graph.FactToString(scratch.derived_facts[i].fact));
+        edited_graph.FactToString(incremental.derived_facts[i].fact),
+        reference.graph.FactToString(scratch.derived_facts[i].fact));
   }
   // The repaired output graph must be byte-identical on disk.
-  EXPECT_EQ(rdf::WriteGraphText(incremental.consistent_graph),
-            rdf::WriteGraphText(scratch.consistent_graph));
+  EXPECT_EQ(rdf::WriteGraphText(incremental.ConsistentGraph(edited_graph)),
+            rdf::WriteGraphText(scratch.ConsistentGraph(reference.graph)));
 }
 
 /// From-scratch reference on the edited KB (compacted copy, so tombstones
 /// cannot leak into the reference path).
-core::ResolveResult ScratchResolve(const rdf::TemporalGraph& graph,
-                                   const rules::RuleSet& rules,
-                                   const core::ResolveOptions& options) {
-  rdf::TemporalGraph compact = graph.CompactLive();
-  core::Resolver resolver(&compact, rules, options);
+ScratchResolution ScratchResolve(const rdf::TemporalGraph& graph,
+                                 const rules::RuleSet& rules,
+                                 const core::ResolveOptions& options) {
+  ScratchResolution scratch{graph.CompactLive(), {}};
+  core::Resolver resolver(&scratch.graph, rules, options);
   auto result = resolver.Run();
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return std::move(*result);
+  scratch.result = std::move(*result);
+  return scratch;
 }
 
 /// The from-scratch canonical network on the edited KB, rendered.
@@ -226,7 +233,7 @@ TEST(IncrementalResolve, RandomizedBatchesMatchFromScratch) {
     auto result = resolver.ApplyEdits(edits);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-    core::ResolveResult scratch =
+    ScratchResolution scratch =
         ScratchResolve(kg.graph, rules, core::ResolveOptions());
     ExpectResolutionBitIdentical(*result, kg.graph, scratch);
     EXPECT_EQ(RenderNetwork(resolver.network(), kg.graph.dict()),
@@ -321,7 +328,7 @@ TEST(IncrementalResolve, PureInsertionFastPathIsBitIdentical) {
                 components_before + kFans + kPairs);
     }
     ExpectPartitionCarriedExactly(resolver);
-    core::ResolveResult scratch =
+    ScratchResolution scratch =
         ScratchResolve(kg.graph, rules, core::ResolveOptions());
     ExpectResolutionBitIdentical(*result, kg.graph, scratch);
     EXPECT_EQ(RenderNetwork(resolver.network(), kg.graph.dict()),
@@ -334,7 +341,7 @@ TEST(IncrementalResolve, PureInsertionFastPathIsBitIdentical) {
       RandomBatch(&kg.graph, &rng, /*inserts=*/1, /*retracts=*/3);
   auto result = resolver.ApplyEdits(edits);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  core::ResolveResult scratch =
+  ScratchResolution scratch =
       ScratchResolve(kg.graph, rules, core::ResolveOptions());
   ExpectResolutionBitIdentical(*result, kg.graph, scratch);
   EXPECT_EQ(RenderNetwork(resolver.network(), kg.graph.dict()),
@@ -456,7 +463,7 @@ TEST(IncrementalResolve, FastPathWithDerivedBlockMatchesFromScratch) {
         ScratchNetworkRendering(graph0, rules, ground::GroundingOptions());
     for (size_t t = 0; t < tracks.size(); ++t) {
       SCOPED_TRACE(StringPrintf("step %d track %zu", step, t));
-      core::ResolveResult scratch =
+      ScratchResolution scratch =
           ScratchResolve(tracks[t]->kg.graph, rules, tracks[t]->options);
       ExpectResolutionBitIdentical(results[t], tracks[t]->kg.graph, scratch);
       EXPECT_EQ(RenderNetwork(tracks[t]->resolver->network(),
@@ -495,7 +502,7 @@ TEST(IncrementalResolve, RetractAndRederiveInOneBatch) {
   auto result = resolver.ApplyEdits(*edits);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  core::ResolveResult scratch =
+  ScratchResolution scratch =
       ScratchResolve(kg, rules, core::ResolveOptions());
   ExpectResolutionBitIdentical(*result, kg, scratch);
   EXPECT_EQ(RenderNetwork(resolver.network(), kg.dict()),
@@ -528,7 +535,7 @@ TEST(IncrementalResolve, DuplicateQuadSupportMergesAndSplits) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(kg.NumLiveFacts(), 2u);
 
-  core::ResolveResult scratch =
+  ScratchResolution scratch =
       ScratchResolve(kg, rules, core::ResolveOptions());
   ExpectResolutionBitIdentical(*result, kg, scratch);
   EXPECT_EQ(RenderNetwork(resolver.network(), kg.dict()),
@@ -552,7 +559,7 @@ TEST(IncrementalResolve, PslBackendSplicesToo) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->spliced_components, 0u);
 
-  core::ResolveResult scratch = ScratchResolve(kg.graph, rules, options);
+  ScratchResolution scratch = ScratchResolve(kg.graph, rules, options);
   ExpectResolutionBitIdentical(*result, kg.graph, scratch);
 }
 
@@ -579,7 +586,7 @@ TEST(IncrementalResolve, EngineAppliesEditScriptsAndSplices) {
   EXPECT_LT(spliced.dirty_components, spliced.num_components / 4 + 8);
 
   const rdf::TemporalGraph& graph = *second->snapshot->graph;
-  core::ResolveResult scratch =
+  ScratchResolution scratch =
       ScratchResolve(graph, *second->snapshot->rules, options);
   ExpectResolutionBitIdentical(spliced, graph, scratch);
 

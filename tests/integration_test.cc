@@ -60,7 +60,8 @@ TEST_P(FootballEndToEnd, RepairsNoisyKgFeasibly) {
   EXPECT_TRUE(result->feasible) << result->StatsPanel();
 
   // The output graph has no remaining conflicts.
-  core::ConflictDetector recheck(&result->consistent_graph, *constraints);
+  rdf::TemporalGraph repaired = result->ConsistentGraph(kg.graph);
+  core::ConflictDetector recheck(&repaired, *constraints);
   auto report = recheck.Detect();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->NumConflicts(), 0u) << result->StatsPanel();

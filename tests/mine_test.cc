@@ -183,7 +183,8 @@ TEST(Miner, MinedRulesSolveEndToEnd) {
   ASSERT_TRUE(solved.ok()) << solved.status().ToString();
   EXPECT_TRUE(solved->result->feasible);
   // Resolution dropped at least one fact: the mined constraints bind.
-  EXPECT_LT(solved->result->consistent_graph.NumLiveFacts(),
+  EXPECT_LT(solved->result->ConsistentGraph(*solved->snapshot->graph)
+                .NumLiveFacts(),
             solved->snapshot->graph->NumLiveFacts());
 }
 

@@ -24,6 +24,9 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "datagen/generators.h"
+#include "rdf/io.h"
+#include "rules/library.h"
 #include "server/http_server.h"
 #include "server/routes.h"
 #include "util/json.h"
@@ -376,13 +379,38 @@ TEST_F(ServerTest, ErrorEnvelopeIsUniform) {
                           "Content-Length: %zu\r\n\r\n%s",
                           body.size(), body.c_str()) +
                  next);
-  for (const std::string* framed : {&both, &disagree}) {
+  // 400 and close — malformed field lines (RFC 9112 §5.1, §5.2, §2.2):
+  // whitespace before the colon, an obs-fold line, a line with no colon.
+  // Trimmed into fields, the first three would frame the message.
+  const std::string spaced_length = RawRequest(
+      port_, StringPrintf("POST /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n"
+                          "Content-Length : %zu\r\n\r\n%s",
+                          body.size(), body.c_str()) +
+                 next);
+  const std::string spaced_chunked = RawRequest(
+      port_, StringPrintf("POST /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n"
+                          "Transfer-Encoding : chunked\r\n\r\n"
+                          "%zx\r\n%s\r\n0\r\n\r\n",
+                          body.size(), body.c_str()) +
+                 next);
+  const std::string folded = RawRequest(
+      port_, StringPrintf("POST /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n"
+                          " Content-Length: %zu\r\n\r\n%s",
+                          body.size(), body.c_str()) +
+                 next);
+  const std::string no_colon = RawRequest(
+      port_, StringPrintf("POST /v1/kb/default/graph HTTP/1.1\r\nHost: t\r\n"
+                          "Content-Length: %zu\r\nX-Note none\r\n\r\n%s",
+                          body.size(), body.c_str()) +
+                 next);
+  for (const std::string* framed : {&both, &disagree, &spaced_length,
+                                    &spaced_chunked, &folded, &no_colon}) {
     EXPECT_EQ(StatusOf(*framed), 400) << *framed;
     EXPECT_EQ(ErrorCodeOf(BodyOf(*framed)), "InvalidArgument") << *framed;
     EXPECT_TRUE(HasHeader(*framed, "Connection: close")) << *framed;
     EXPECT_EQ(framed->find("HTTP/1.1", 1), std::string::npos) << *framed;
   }
-  // Neither refused body reached the KB.
+  // No refused body reached the KB.
   EXPECT_EQ(engine_->version(), 0u);
   // A repeated Content-Length with one value is harmless framing.
   const std::string repeated = RawRequest(
@@ -1061,6 +1089,61 @@ TEST_F(ServerTest, MetricsExportIncrementalInternals) {
   EXPECT_EQ(delta("tecore_incremental_updates_total{path=\"rebuild\"}"), 0);
   EXPECT_LE(delta("tecore_solve_components_total{outcome=\"solved\"}"), 1);
   EXPECT_GE(delta("tecore_solve_components_total{outcome=\"reused\"}"), 2);
+  // The edit copies nothing KB-sized: the one term it interns is its new
+  // object, C3. A result that re-interned the kept facts into a graph of
+  // its own would count their terms too.
+  EXPECT_EQ(delta("tecore_dict_terms_interned_total"), 1);
+}
+
+TEST_F(ServerTest, DerivedFactsRenderOverHttp) {
+  // The running example (Fig. 1) under the paper's rules (Figs. 4 and 6):
+  // f1 and f2 derive CR's employer and home for the Palermo spell. Both
+  // the solve and an edit batch list them, rendered with the snapshot's
+  // graph, with the strings and scores pinned.
+  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb", "{\"name\":\"paper\"}")),
+            201);
+  util::Json graph = util::Json::Object();
+  graph.Set("text", util::Json::Str(rdf::WriteGraphText(
+                        datagen::RunningExampleGraph(true))));
+  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/paper/graph", graph.Dump())),
+            200);
+  auto inference = rules::PaperInferenceRules();
+  auto constraints = rules::PaperConstraints();
+  ASSERT_TRUE(inference.ok() && constraints.ok());
+  inference->Merge(*constraints);
+  util::Json rules = util::Json::Object();
+  rules.Set("text", util::Json::Str(rules::WriteRulesText(*inference)));
+  ASSERT_EQ(StatusOf(Http(port_, "POST", "/v1/kb/paper/rules", rules.Dump())),
+            200);
+
+  const std::string mln_derived =
+      "\"derived_facts\":["
+      "{\"fact\":\"(CR, livesIn, PalermoCity, [1984,1986]) 0.83\","
+      "\"score\":0.8320183851339245},"
+      "{\"fact\":\"(CR, worksFor, Palermo, [1984,1986]) 0.92\","
+      "\"score\":0.9241418199787566}]";
+  const std::string solved =
+      Http(port_, "POST", "/v1/kb/paper/solve", "{\"max_facts\":10}");
+  EXPECT_EQ(StatusOf(solved), 200) << solved;
+  EXPECT_EQ(BodyOf(solved).GetInt("derived", -1), 2);
+  EXPECT_NE(solved.find(mln_derived), std::string::npos) << solved;
+  const std::string psl = Http(port_, "POST", "/v1/kb/paper/solve",
+                               "{\"solver\":\"psl\",\"max_facts\":10}");
+  EXPECT_EQ(StatusOf(psl), 200) << psl;
+  EXPECT_NE(psl.find("\"derived_facts\":["
+                     "{\"fact\":\"(CR, livesIn, PalermoCity, [1984,1986]) "
+                     "1.00\",\"score\":1},"
+                     "{\"fact\":\"(CR, worksFor, Palermo, [1984,1986]) "
+                     "1.00\",\"score\":1}]"),
+            std::string::npos)
+      << psl;
+  // An edit batch that interns a new term (Roma) and leaves both
+  // derivations standing.
+  const std::string edited = Http(
+      port_, "POST", "/v1/kb/paper/edits",
+      "{\"script\":\"+ CR coach Roma [2003,2006] 0.4 .\\n\",\"max_facts\":10}");
+  EXPECT_EQ(StatusOf(edited), 200) << edited;
+  EXPECT_NE(edited.find(mln_derived), std::string::npos) << edited;
 }
 
 TEST_F(ServerTest, RetiredThreadKeysAreIgnored) {

@@ -79,7 +79,8 @@ TEST_P(RandomInstances, ResolverOutputsAreConflictFree) {
     auto result = resolver.Run();
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->feasible);
-    core::ConflictDetector recheck(&result->consistent_graph, *constraints);
+    rdf::TemporalGraph repaired = result->ConsistentGraph(graph);
+    core::ConflictDetector recheck(&repaired, *constraints);
     auto report = recheck.Detect();
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report->NumConflicts(), 0u)

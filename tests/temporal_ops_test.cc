@@ -98,7 +98,7 @@ TEST(DiffGraphs, RepairDiffMatchesResolverBookkeeping) {
   core::Resolver resolver(&graph, *constraints, options);
   auto result = resolver.Run();
   ASSERT_TRUE(result.ok());
-  GraphDiff diff = DiffGraphs(graph, result->consistent_graph);
+  GraphDiff diff = DiffGraphs(graph, result->ConsistentGraph(graph));
   EXPECT_EQ(diff.removed.size(), result->removed_facts.size());
   EXPECT_EQ(diff.added.size(), result->derived_facts.size());
 }
