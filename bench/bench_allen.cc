@@ -1,6 +1,6 @@
 // A5 — microbenchmarks of the temporal substrate (google-benchmark):
-// Allen relation checks, relation-set composition, interval-tree queries,
-// and path-consistency propagation.
+// Allen relation checks, relation-set composition and path-consistency
+// propagation.
 
 #include <benchmark/benchmark.h>
 
@@ -8,7 +8,6 @@
 
 #include "temporal/allen.h"
 #include "temporal/allen_network.h"
-#include "temporal/interval_tree.h"
 #include "util/random.h"
 
 namespace {
@@ -71,44 +70,6 @@ void BM_ComposeSets(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComposeSets);
-
-void BM_IntervalTreeBuild(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto ivs = RandomIntervals(n, 3);
-  for (auto _ : state) {
-    std::vector<std::pair<Interval, uint32_t>> entries;
-    entries.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      entries.emplace_back(ivs[i], static_cast<uint32_t>(i));
-    }
-    IntervalTree tree;
-    tree.Build(std::move(entries));
-    benchmark::DoNotOptimize(tree.Size());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_IntervalTreeBuild)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_IntervalTreeQuery(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto ivs = RandomIntervals(n, 4);
-  std::vector<std::pair<Interval, uint32_t>> entries;
-  for (size_t i = 0; i < n; ++i) {
-    entries.emplace_back(ivs[i], static_cast<uint32_t>(i));
-  }
-  IntervalTree tree;
-  tree.Build(std::move(entries));
-  auto probes = RandomIntervals(512, 5);
-  size_t i = 0;
-  size_t hits = 0;
-  for (auto _ : state) {
-    tree.VisitIntersecting(probes[i & 511], [&hits](uint32_t) { ++hits; });
-    ++i;
-  }
-  benchmark::DoNotOptimize(hits);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_IntervalTreeQuery)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_PathConsistency(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -1,6 +1,5 @@
-// A3 — grounding ablations: semi-naive delta evaluation of the fixpoint,
-// early condition evaluation during the body join, and connected-component
-// decomposition at solve time.
+// A3 — grounding ablations: semi-naive delta evaluation of the fixpoint
+// and connected-component decomposition at solve time.
 //
 // `--json out.json` additionally writes the measurements machine-readably
 // (see util/bench_json.h), each record stamped with `hw_threads`, so
@@ -14,7 +13,6 @@
 #include "ground/grounder.h"
 #include "mln/solver.h"
 #include "rules/library.h"
-#include "rules/parser.h"
 #include "util/bench_json.h"
 #include "util/csv.h"
 #include "util/string_util.h"
@@ -105,57 +103,6 @@ int main(int argc, char** argv) {
   std::printf("%s\n", delta_table.ToAscii().c_str());
   std::printf("shape (delta evaluation, same ground network): %s\n\n",
               networks_match ? "MATCH" : "MISMATCH");
-
-  // ------------------------------------------------ condition evaluation
-  // A *teammates* join through the shared object (players of the same
-  // club): candidate lists are per-team (hundreds of facts), so the
-  // selective first-atom duration filter prunes a large join when
-  // evaluated early. The trivially-true head keeps the clause count at
-  // zero — this measures pure grounding throughput.
-  auto selective = rules::ParseRules(R"(
-    teammate_probe:
-      quad(x, playsFor, y, t) & quad(x2, playsFor, y, t')
-      [duration(t) > 4, x != x2] -> begin(t) < 3000 .
-  )");
-  if (!selective.ok()) {
-    std::fprintf(stderr, "%s\n", selective.status().ToString().c_str());
-    return 1;
-  }
-
-  Table ground_table({"players", "early-cond ms", "late-cond ms", "speedup",
-                      "clauses (equal)"});
-  bool clauses_match = true;
-  for (size_t players : {1000, 2000, 4000}) {
-    datagen::FootballDbOptions gen;
-    gen.num_players = players;
-    gen.mean_spells = 4.0;  // more spells -> bigger join
-    datagen::GeneratedKg kg1 = datagen::GenerateFootballDb(gen);
-    datagen::GeneratedKg kg2 = datagen::GenerateFootballDb(gen);
-    ground::GroundingOptions early_options;
-    early_options.evaluate_conditions_early = true;
-    ground::GroundingOptions late_options;
-    late_options.evaluate_conditions_early = false;
-    size_t clauses_early = 0, clauses_late = 0;
-    double early =
-        GroundOnce(&kg1, *selective, early_options, nullptr, &clauses_early);
-    double late =
-        GroundOnce(&kg2, *selective, late_options, nullptr, &clauses_late);
-    if (early < 0 || late < 0) return 1;
-    clauses_match = clauses_match && clauses_early == clauses_late;
-    ground_table.AddRow({std::to_string(players),
-                         StringPrintf("%.1f", early),
-                         StringPrintf("%.1f", late),
-                         StringPrintf("%.2fx", late / early),
-                         clauses_early == clauses_late ? "yes" : "NO"});
-    json.NewRecord(StringPrintf("conditions/players=%zu", players));
-    json.Metric("hw_threads", hw_threads);
-    json.Metric("early_ms", early);
-    json.Metric("late_ms", late);
-    json.Metric("speedup", late / early);
-  }
-  std::printf("%s\n", ground_table.ToAscii().c_str());
-  std::printf("shape (early evaluation prunes the join, same output): %s\n\n",
-              clauses_match ? "MATCH" : "MISMATCH");
 
   // Component decomposition: exact MAP per component (provably optimal)
   // vs one monolithic branch & bound under a node budget.

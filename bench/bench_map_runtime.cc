@@ -26,7 +26,6 @@
 
 #include "core/resolver.h"
 #include "datagen/generators.h"
-#include "mln/solver.h"
 #include "rules/library.h"
 #include "util/bench_json.h"
 #include "util/csv.h"
@@ -50,11 +49,9 @@ core::ResolveOptions MakeOptions(rules::SolverKind solver,
                                  double mln_time_budget_ms) {
   core::ResolveOptions options;
   options.solver = solver;
-  options.mln.backend = mln::MlnBackend::kIlpCpa;
   if (mln_time_budget_ms > 0) {
     // Coupled setting: let the exact engine run (no WalkSAT fallback) but
     // under an explicit proof budget.
-    options.mln.backend = mln::MlnBackend::kExactMaxSat;
     options.mln.exact_var_limit = 10'000'000;
     options.mln.exact.time_limit_ms = mln_time_budget_ms;
     options.mln.exact.max_nodes = UINT64_MAX;
@@ -127,7 +124,7 @@ int main(int argc, char** argv) {
                            6500, 0);
   Table table_a({"backend", "mean ms", "min ms", "max ms", "objective",
                  "exact", "feasible"});
-  table_a.AddRow({"nRockIt (ILP+CPA, per-component)",
+  table_a.AddRow({"MLN (exact MaxSAT, per-component)",
                   StringPrintf("%.0f", mln_a.mean_ms),
                   StringPrintf("%.0f", mln_a.min_ms),
                   StringPrintf("%.0f", mln_a.max_ms),

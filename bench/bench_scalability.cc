@@ -1,7 +1,8 @@
 // A1 — scalability ablation (paper §4 discussion point: "inference
 // expressiveness and scalability (i.e., nRockIt versus PSL)").
 //
-// Sweeps the UTKG size and times both backends end-to-end. Expected shape:
+// Sweeps the UTKG size and times both backends end-to-end (MLN runs the
+// pipeline's exact per-component MaxSAT). Expected shape:
 // nPSL's advantage grows with size; both scale near-linearly thanks to
 // component decomposition (MLN) / convexity (PSL).
 
@@ -10,7 +11,6 @@
 
 #include "core/resolver.h"
 #include "datagen/generators.h"
-#include "mln/solver.h"
 #include "rules/library.h"
 #include "util/csv.h"
 #include "util/string_util.h"
@@ -27,7 +27,6 @@ double RunOnce(size_t players, rules::SolverKind solver) {
   if (!constraints.ok()) return -1;
   core::ResolveOptions resolve;
   resolve.solver = solver;
-  resolve.mln.backend = mln::MlnBackend::kIlpCpa;
   Timer timer;
   core::Resolver resolver(&kg.graph, *constraints, resolve);
   auto result = resolver.Run();
@@ -38,8 +37,8 @@ double RunOnce(size_t players, rules::SolverKind solver) {
 }  // namespace
 
 int main() {
-  std::printf("=== A1: size sweep — nRockIt vs nPSL ===\n\n");
-  Table table({"players", "facts (approx)", "nRockIt ms", "nPSL ms", "ratio"});
+  std::printf("=== A1: size sweep — MLN vs nPSL ===\n\n");
+  Table table({"players", "facts (approx)", "MLN ms", "nPSL ms", "ratio"});
   double mln_small = 0, mln_large = 0, psl_small = 0, psl_large = 0;
   for (size_t players : {250, 500, 1000, 2000, 4000, 8000}) {
     const double mln_ms = RunOnce(players, rules::SolverKind::kMln);

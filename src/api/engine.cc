@@ -120,9 +120,9 @@ std::string Snapshot::DescribeConflict(const core::Conflict& conflict) const {
 Result<mine::MiningReport> Snapshot::MineConstraints(
     const mine::MiningOptions& options) const {
   if (!graph) return Status::InvalidArgument("no graph loaded");
-  // Mining is read-only over the frozen graph (index scans and interval
-  // probes; no interning, no mutation), so the const snapshot graph is the
-  // right input: the pass can never block or be torn by the writer.
+  // Mining is read-only over the frozen graph (index scans; no interning,
+  // no mutation), so the const snapshot graph is the right input: the pass
+  // can never block or be torn by the writer.
   return mine::Miner(options).Mine(*graph);
 }
 
@@ -440,11 +440,6 @@ Result<std::shared_ptr<const Snapshot>> Engine::ClearRules() {
   auto snap = Publish(nullptr, core::ResolveOptions(), /*graph_changed=*/false);
   MaybeCheckpoint();
   return snap;
-}
-
-void Engine::ResetIncremental() {
-  util::MutexLock lock(writer_mutex_);
-  incremental_.reset();
 }
 
 Result<SolveOutcome> Engine::Solve(const core::ResolveOptions& options) {

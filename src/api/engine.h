@@ -50,9 +50,9 @@ class Snapshot {
   /// The frozen UTKG; null until a graph was loaded. A copy-on-write fork
   /// of the writer's graph: it shares unchanged column chunks with the
   /// writer and with neighboring versions, so publishing it is O(delta).
-  /// Interval probes build per-predicate trees lazily under an internal
-  /// mutex; grounding against it only ever *interns* new terms, which the
-  /// shared, internally-synchronized dictionary supports concurrently.
+  /// The graph holds no lock: readers only read it, and grounding against
+  /// it only ever *interns* new terms, which the shared,
+  /// internally-synchronized dictionary supports concurrently.
   std::shared_ptr<const rdf::TemporalGraph> graph;
   /// Dictionary size frozen at publish time (the dictionary itself is
   /// shared with concurrent readers whose grounding may intern more terms,
@@ -249,9 +249,6 @@ class Engine {
   /// graph and apply it atomically.
   Result<EditOutcome> ApplyEditScript(std::string_view script,
                                       const core::ResolveOptions& options);
-
-  /// \brief Drop the incremental state (next ApplyEdits re-seeds).
-  void ResetIncremental();
 
   // ----------------------------------------------------------- durability
   /// \brief Adopt `storage` and recover its state: parse the checkpoint

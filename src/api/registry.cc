@@ -57,8 +57,8 @@ EngineRegistry::EngineRegistry(Options options)
 std::shared_ptr<util::ThreadPool> EngineRegistry::pool() const {
   util::MutexLock lock(pool_mutex_);
   if (pool_ == nullptr) {
-    // Created on first use, with the same floor as HttpServer: neither
-    // the constructing thread nor the acceptor drains the queue, and
+    // Created on first use, with at least 6 executors: neither the
+    // constructing thread nor the server's acceptor drains the queue, and
     // every streaming subscriber parks on a worker for its connection's
     // lifetime — the floor keeps a subscriber from starving the writes
     // it is watching for.

@@ -45,8 +45,8 @@ namespace api {
 class EngineRegistry {
  public:
   struct Options {
-    /// Executors in the shared pool (0 = auto, min 6 — see
-    /// HttpServer::Options::num_threads for why the floor).
+    /// Executors in the shared pool (0 = auto, min 6 — see pool() for
+    /// why the floor).
     int num_threads = 0;
     /// Defaults applied to every engine the registry creates.
     Engine::Options engine;

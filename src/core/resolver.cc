@@ -41,9 +41,7 @@ Result<ResolveResult> SolveAndAssemble(
     mln::MlnMapSolver solver(net, options.mln);
     TECORE_ASSIGN_OR_RETURN(solution, solver.Solve(components));
     values = std::move(solution.atom_values);
-    result.solver_name =
-        std::string("mln/") +
-        std::string(mln::MlnBackendName(options.mln.backend));
+    result.solver_name = "mln/exact-maxsat";
     result.feasible = solution.feasible;
     result.optimal = solution.optimal;
     result.objective = solution.objective;
@@ -204,41 +202,21 @@ Result<ResolveResult> IncrementalResolver::ApplyEdits(
 
 bool SameResolveConfig(const ResolveOptions& a, const ResolveOptions& b) {
   const bool mln_same =
-      a.mln.backend == b.mln.backend &&
       a.mln.exact_var_limit == b.mln.exact_var_limit &&
       a.mln.use_components == b.mln.use_components &&
       a.mln.exact.max_nodes == b.mln.exact.max_nodes &&
-      a.mln.exact.time_limit_ms == b.mln.exact.time_limit_ms &&
-      a.mln.walksat.max_flips == b.mln.walksat.max_flips &&
-      a.mln.walksat.flips_per_clause == b.mln.walksat.flips_per_clause &&
-      a.mln.walksat.min_flips == b.mln.walksat.min_flips &&
-      a.mln.walksat.stall_limit == b.mln.walksat.stall_limit &&
-      a.mln.walksat.noise == b.mln.walksat.noise &&
-      a.mln.walksat.restarts == b.mln.walksat.restarts &&
-      a.mln.walksat.hard_penalty == b.mln.walksat.hard_penalty &&
-      a.mln.walksat.seed == b.mln.walksat.seed &&
-      a.mln.ilp.max_nodes == b.mln.ilp.max_nodes &&
-      a.mln.ilp.integrality_eps == b.mln.ilp.integrality_eps &&
-      a.mln.ilp.lp.max_iterations == b.mln.ilp.lp.max_iterations &&
-      a.mln.ilp.lp.big_m == b.mln.ilp.lp.big_m &&
-      a.mln.ilp.lp.eps == b.mln.ilp.lp.eps;
-  const bool psl_same =
-      a.psl.use_components == b.psl.use_components &&
-      a.psl.admm.rho == b.psl.admm.rho &&
-      a.psl.admm.max_iterations == b.psl.admm.max_iterations &&
-      a.psl.admm.epsilon_abs == b.psl.admm.epsilon_abs &&
-      a.psl.admm.epsilon_rel == b.psl.admm.epsilon_rel &&
-      a.psl.admm.check_every == b.psl.admm.check_every;
+      a.mln.exact.time_limit_ms == b.mln.exact.time_limit_ms;
+  // The limits decide whether grounding succeeds, so an engine must not
+  // reuse incremental state grounded under different ones.
   const bool grounding_same =
-      a.grounding.fact_weighting == b.grounding.fact_weighting &&
-      a.grounding.derived_prior_weight == b.grounding.derived_prior_weight &&
-      a.grounding.add_evidence_priors == b.grounding.add_evidence_priors &&
       a.grounding.max_rounds == b.grounding.max_rounds &&
-      a.grounding.evaluate_conditions_early ==
-          b.grounding.evaluate_conditions_early &&
+      a.grounding.max_atoms == b.grounding.max_atoms &&
+      a.grounding.max_clauses == b.grounding.max_clauses &&
+      a.grounding.add_evidence_priors == b.grounding.add_evidence_priors &&
       a.grounding.semi_naive == b.grounding.semi_naive;
   return a.solver == b.solver && a.derived_threshold == b.derived_threshold &&
-         mln_same && psl_same && grounding_same;
+         mln_same && a.psl.use_components == b.psl.use_components &&
+         grounding_same;
 }
 
 rdf::TemporalGraph ResolveResult::ConsistentGraph(

@@ -33,8 +33,9 @@ struct ResolveOptions {
 
 /// \brief Result-relevant equality of resolve configurations: true when a
 /// result computed under `a` is reusable for a request under `b` (every
-/// knob that can change a solver's output is compared). Gates the
-/// engine's incremental-state reuse and its snapshot solve cache.
+/// knob that can change a solver's output, or whether grounding succeeds,
+/// is compared). Gates the engine's incremental-state reuse and its
+/// snapshot solve cache.
 bool SameResolveConfig(const ResolveOptions& a, const ResolveOptions& b);
 
 /// \brief A fact derived by the inference rules during MAP.

@@ -136,39 +136,28 @@ const std::vector<AtomId>& GroundNetwork::AtomsWithPredObject(
   return it == by_pred_object_.end() ? kEmptyAtomList : it->second;
 }
 
-bool GroundNetwork::PriorClause(AtomId id, double derived_prior_weight,
-                                GroundClause* clause) const {
+GroundClause GroundNetwork::PriorClause(AtomId id) const {
   const GroundAtom& atom = atoms_[id];
-  clause->rule_index = -1;
-  clause->hard = false;
+  GroundClause clause;
+  clause.rule_index = -1;
+  clause.hard = false;
   if (atom.is_evidence) {
-    if (atom.prior_weight > 0) {
-      clause->literals = {PositiveLiteral(id)};
-      clause->weight = atom.prior_weight;
-    } else if (atom.prior_weight < 0) {
-      clause->literals = {NegativeLiteral(id)};
-      clause->weight = -atom.prior_weight;
-    } else {
-      return false;  // confidence 0.5: indifferent
-    }
+    clause.literals = {PositiveLiteral(id)};
+    clause.weight = atom.prior_weight;
   } else {
-    if (derived_prior_weight <= 0) return false;
-    clause->literals = {NegativeLiteral(id)};
-    clause->weight = derived_prior_weight;
+    clause.literals = {NegativeLiteral(id)};
+    clause.weight = kDerivedPriorWeight;
   }
-  return true;
+  return clause;
 }
 
-void GroundNetwork::AddPriorClauses(double derived_prior_weight) {
+void GroundNetwork::AddPriorClauses() {
+  // Direct append: unit priors are already normalized, cannot be
+  // tautologies, and cannot collide with rule clauses (rule_index -1) or
+  // each other (one per atom) — skipping AddClause's dedup hashing shaves
+  // a measurable slice off every (re)build.
   for (AtomId id = 0; id < atoms_.size(); ++id) {
-    GroundClause unit;
-    // Direct append: unit priors are already normalized, cannot be
-    // tautologies, and cannot collide with rule clauses (rule_index -1) or
-    // each other (one per atom) — skipping AddClause's dedup hashing
-    // shaves a measurable slice off every (re)build.
-    if (PriorClause(id, derived_prior_weight, &unit)) {
-      clauses_.push_back(std::move(unit));
-    }
+    clauses_.push_back(PriorClause(id));
   }
 }
 

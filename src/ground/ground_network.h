@@ -20,15 +20,16 @@ using AtomId = uint32_t;
 /// \brief A ground quad atom: a fully instantiated (s, p, o, [b,e]).
 ///
 /// Evidence atoms come from the input UTKG and carry a prior weight
-/// (the sum of the log-odds of their supporting facts); derived atoms are
-/// created by inference-rule heads and have no evidence prior.
+/// (the sum of the confidences of their supporting facts); derived atoms
+/// are created by inference-rule heads and have no evidence prior.
 struct GroundAtom {
   rdf::TermId subject = rdf::kInvalidTermId;
   rdf::TermId predicate = rdf::kInvalidTermId;
   rdf::TermId object = rdf::kInvalidTermId;
   temporal::Interval interval{0, 0};
   bool is_evidence = false;
-  /// Sum of log-odds of supporting input facts (0 for derived atoms).
+  /// Sum of the confidences of supporting input facts, so always > 0 for
+  /// evidence atoms (0 for derived atoms).
   double prior_weight = 0.0;
   /// First supporting input fact (kInvalidFactId for derived atoms).
   rdf::FactId source_fact = rdf::kInvalidFactId;
@@ -54,6 +55,9 @@ bool CanonicalClauseLess(const GroundClause& a, const GroundClause& b);
 
 /// \brief Field-wise clause equality (the dedup relation).
 bool ClauseContentEquals(const GroundClause& a, const GroundClause& b);
+
+/// \brief Weight of the negative unit prior on every derived atom.
+inline constexpr double kDerivedPriorWeight = 0.05;
 
 /// \brief Literal encoding helpers.
 inline int32_t PositiveLiteral(AtomId atom) {
@@ -136,18 +140,16 @@ class GroundNetwork {
   const std::vector<AtomId>& AtomsWithPredObject(rdf::TermId p,
                                                  rdf::TermId o) const;
 
-  /// \brief Append the evidence-prior and derived-prior unit clauses.
-  ///
-  /// Evidence atom with prior w>0: soft unit (+a, w); w<0: soft unit
-  /// (-a, -w). Derived atoms get a small negative prior (-a,
-  /// derived_prior_weight) so MAP prefers minimal models (ties otherwise).
-  void AddPriorClauses(double derived_prior_weight);
+  /// \brief Append one unit prior clause per atom (see PriorClause).
+  void AddPriorClauses();
 
-  /// \brief The unit prior AddPriorClauses emits for `id`; false when the
-  /// atom gets none (an evidence atom of confidence 0.5, or a derived atom
-  /// when `derived_prior_weight` <= 0).
-  bool PriorClause(AtomId id, double derived_prior_weight,
-                   GroundClause* clause) const;
+  /// \brief The unit prior of atom `id`: the soft unit (+a, prior_weight)
+  /// for an evidence atom, so MAP maximizes the summed confidence of kept
+  /// facts (the AAAI'17 companion paper's construction, which keeps the
+  /// 0.5-confidence fact (3) of the paper's running example); the soft
+  /// unit (-a, kDerivedPriorWeight) for a derived atom, so MAP prefers
+  /// minimal models (ties otherwise).
+  GroundClause PriorClause(AtomId id) const;
 
   /// \brief Number of evidence atoms. Every canonical layout (and every
   /// grounder output) keeps them as a prefix, so this is a binary search.

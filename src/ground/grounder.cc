@@ -4,7 +4,6 @@
 #include <optional>
 #include <unordered_set>
 
-#include "kb/weighting.h"
 #include "logic/eval.h"
 #include "obs/metrics.h"
 #include "rules/validator.h"
@@ -47,8 +46,7 @@ struct CompiledRule {
   std::vector<CompiledQuad> body;
   std::vector<CompiledQuad> head_quads;
   /// cond_vars[i] = variables condition i needs; a condition is evaluated
-  /// as soon as all of them are bound (early mode) or after the full body
-  /// has matched (late mode).
+  /// as soon as all of them are bound.
   std::vector<std::vector<VarId>> cond_vars;
 };
 
@@ -141,9 +139,7 @@ class GroundingEngine {
         for (AtomId& atom : grounding.heads) atom = remap[atom];
       }
     }
-    if (options_.add_evidence_priors) {
-      net_->AddPriorClauses(options_.derived_prior_weight);
-    }
+    if (options_.add_evidence_priors) net_->AddPriorClauses();
     result_->ground_time_ms = timer.ElapsedMillis();
     return Status::OK();
   }
@@ -169,8 +165,7 @@ class GroundingEngine {
       const rdf::TemporalFact& f = graph_->fact(id);
       const AtomId atom = net_->GetOrAddAtom(
           f.subject, f.predicate, f.object, f.interval,
-          /*is_evidence=*/true,
-          kb::FactPriorWeight(f.confidence, options_.fact_weighting), id);
+          /*is_evidence=*/true, f.confidence, id);
       if (atom < delta->frontier_begin) delta->merged_into_existing = true;
       delta->fact_atoms[id - first_new_fact] = atom;
     }
@@ -285,7 +280,7 @@ class GroundingEngine {
       const rdf::TemporalFact& f = graph_->fact(id);
       result_->fact_atoms[id] = net_->GetOrAddAtom(
           f.subject, f.predicate, f.object, f.interval, /*is_evidence=*/true,
-          kb::FactPriorWeight(f.confidence, options_.fact_weighting), id);
+          f.confidence, id);
     }
   }
 
@@ -455,23 +450,21 @@ class GroundingEngine {
       // variables just became fully bound (strongly prunes the join).
       bool conditions_hold = true;
       uint64_t newly_done = 0;
-      if (options_.evaluate_conditions_early) {
-        for (size_t ci = 0; ci < cr.cond_vars.size(); ++ci) {
-          if ((*cond_done)[ci]) continue;
-          bool ready = true;
-          for (VarId v : cr.cond_vars[ci]) {
-            if (!VarBound(*binding, v)) {
-              ready = false;
-              break;
-            }
-          }
-          if (!ready) continue;
-          (*cond_done)[ci] = true;
-          newly_done |= 1ULL << ci;  // bounded: conditions fit a rule body
-          if (!EvalConditionAsFilter(cr, ci, *binding)) {
-            conditions_hold = false;
+      for (size_t ci = 0; ci < cr.cond_vars.size(); ++ci) {
+        if ((*cond_done)[ci]) continue;
+        bool ready = true;
+        for (VarId v : cr.cond_vars[ci]) {
+          if (!VarBound(*binding, v)) {
+            ready = false;
             break;
           }
+        }
+        if (!ready) continue;
+        (*cond_done)[ci] = true;
+        newly_done |= 1ULL << ci;  // bounded: conditions fit a rule body
+        if (!EvalConditionAsFilter(cr, ci, *binding)) {
+          conditions_hold = false;
+          break;
         }
       }
       if (conditions_hold) {
@@ -496,8 +489,8 @@ class GroundingEngine {
     return held.ok() && *held;
   }
 
-  /// Full body matched: evaluate any remaining conditions (all of them in
-  /// late mode), then emit the grounding.
+  /// Full body matched: evaluate any remaining conditions (those of a
+  /// body-less rule), then emit the grounding.
   Status FinishMatch(const CompiledRule& cr, Binding* binding,
                      std::vector<AtomId>* matched,
                      std::vector<bool>* cond_done) {

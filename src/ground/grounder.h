@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "ground/ground_network.h"
-#include "kb/weighting.h"
 #include "rdf/graph.h"
 #include "rules/ast.h"
 #include "util/status.h"
@@ -21,16 +20,9 @@ struct GroundingOptions {
   /// Safety guards against pathological rule sets.
   size_t max_atoms = 10'000'000;
   size_t max_clauses = 50'000'000;
-  /// Small penalty on derived atoms so MAP prefers minimal models.
-  double derived_prior_weight = 0.05;
-  /// Emit confidence-derived unit clauses for evidence atoms.
+  /// Emit the unit prior clauses (GroundNetwork::PriorClause): off only
+  /// for conflict detection, which reads the rule clauses alone.
   bool add_evidence_priors = true;
-  /// Confidence -> weight scheme for those unit clauses (see
-  /// kb/weighting.h; the default reproduces the paper's running example).
-  kb::FactWeighting fact_weighting = kb::FactWeighting::kConfidence;
-  /// Evaluate side conditions as soon as their variables are bound during
-  /// the body join (strongly prunes); disable only for the A3 ablation.
-  bool evaluate_conditions_early = true;
   /// Semi-naive delta evaluation: each fixpoint round only enumerates
   /// bindings where at least one body atom comes from the frontier (atoms
   /// added in the previous round), so nothing is re-derived and no

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "kb/weighting.h"
 #include "util/timer.h"
 
 namespace tecore {
@@ -133,10 +132,7 @@ Result<IncrementalUpdateStats> IncrementalGrounder::Update(
     std::vector<GroundClause> priors;
     if (options_.add_evidence_priors) {
       for (AtomId id = at; id < at + k; ++id) {
-        GroundClause unit;
-        if (net.PriorClause(id, options_.derived_prior_weight, &unit)) {
-          priors.push_back(std::move(unit));
-        }
+        priors.push_back(net.PriorClause(id));
       }
     }
     net.InsertCanonicalClauses(std::move(fresh_clauses), std::move(priors),
@@ -211,7 +207,7 @@ Result<IncrementalUpdateStats> IncrementalGrounder::Update(
     const rdf::TemporalFact& f = graph_->fact(id);
     fact_atoms[id] = fresh.GetOrAddAtom(
         f.subject, f.predicate, f.object, f.interval, /*is_evidence=*/true,
-        kb::FactPriorWeight(f.confidence, options_.fact_weighting), id);
+        f.confidence, id);
   }
   std::vector<AtomId> derived;
   std::vector<AtomId> remap(old_atoms, GroundNetwork::kInvalidAtomId);
@@ -257,9 +253,7 @@ Result<IncrementalUpdateStats> IncrementalGrounder::Update(
   }
   stats.dead_groundings = state->groundings.size() - surviving.size();
   fresh.SortClausesCanonical();
-  if (options_.add_evidence_priors) {
-    fresh.AddPriorClauses(options_.derived_prior_weight);
-  }
+  if (options_.add_evidence_priors) fresh.AddPriorClauses();
 
   state->network = std::move(fresh);
   state->groundings = std::move(surviving);

@@ -7,22 +7,16 @@
 namespace tecore {
 namespace kb {
 
-/// \brief Largest log-odds magnitude assigned to a fact prior.
-///
-/// A confidence of exactly 1.0 maps to this value rather than +∞: if two
-/// "certain" facts clash under a hard constraint, the MAP problem must stay
-/// feasible (one of them is dropped, with a very large penalty) instead of
-/// becoming unsatisfiable. exp(13.8) ≈ 1e6, i.e. certainty ≈ 0.999999.
+/// \brief Largest log-odds magnitude: a confidence of exactly 1.0 maps to
+/// this value rather than +∞, and a hard rule scores the facts it derives
+/// as this weight. exp(13.8) ≈ 1e6, i.e. certainty ≈ 0.999999.
 inline constexpr double kMaxLogOdds = 13.815510557964274;
 
-/// \brief Map a confidence c in (0,1] to the weight of the fact's unit
-/// formula: log(c / (1-c)), clamped to [-kMaxLogOdds, kMaxLogOdds].
-///
-/// This is the standard embedding of independent per-fact uncertainty into
-/// a log-linear model (the AAAI'17 companion paper's construction): MAP
-/// over {keep, drop} then maximizes the joint probability of the selected
-/// consistent sub-KG. Confidences below 0.5 yield negative weights —
-/// dropping such facts is a priori preferred.
+/// \brief The log-odds of a confidence c in (0,1]: log(c / (1-c)),
+/// clamped to [-kMaxLogOdds, kMaxLogOdds]. The inverse of
+/// WeightToConfidence, which turns an MLN rule weight into a derived
+/// fact's score. (A fact's own unit prior weight is its confidence; see
+/// ground::GroundNetwork::PriorClause.)
 inline double ConfidenceToWeight(double confidence) {
   const double c = std::clamp(confidence, 1e-12, 1.0 - 1e-12);
   const double w = std::log(c / (1.0 - c));
@@ -32,26 +26,6 @@ inline double ConfidenceToWeight(double confidence) {
 /// \brief Inverse of ConfidenceToWeight (sigmoid).
 inline double WeightToConfidence(double weight) {
   return 1.0 / (1.0 + std::exp(-weight));
-}
-
-/// \brief How fact confidences become unit-formula weights.
-enum class FactWeighting {
-  /// Weight = the confidence score itself (the AAAI'17 companion paper's
-  /// construction: MAP maximizes the summed confidence of kept facts).
-  /// Always positive, so keeping a fact is weakly preferred — exactly the
-  /// behaviour of the paper's running example, where the 0.5-confidence
-  /// fact (3) survives.
-  kConfidence,
-  /// Weight = log-odds log(c/(1-c)): probabilistically principled under
-  /// the independent-noise model; confidences below 0.5 get negative
-  /// weights (dropping preferred a priori).
-  kLogOdds,
-};
-
-/// \brief Weight of a fact's unit formula under the chosen scheme.
-inline double FactPriorWeight(double confidence, FactWeighting scheme) {
-  return scheme == FactWeighting::kConfidence ? confidence
-                                              : ConfidenceToWeight(confidence);
 }
 
 }  // namespace kb

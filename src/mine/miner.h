@@ -137,8 +137,8 @@ class Miner {
 
   const MiningOptions& options() const { return options_; }
 
-  /// \brief Mine constraints from `graph`. Read-only: interval probes and
-  /// index reads only, no interning and no mutation.
+  /// \brief Mine constraints from `graph`. Read-only: index reads only, no
+  /// interning and no mutation.
   MiningReport Mine(const rdf::TemporalGraph& graph) const;
 
  private:

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "mln/cutting_plane.h"
+#include "maxsat/local_search.h"
 #include "mln/translation.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -14,45 +14,13 @@ namespace {
 
 maxsat::MaxSatResult SolveWcnf(const maxsat::Wcnf& wcnf,
                                const MlnSolverOptions& options) {
-  const bool oversized =
-      static_cast<size_t>(wcnf.num_vars()) > options.exact_var_limit;
-  switch (options.backend) {
-    case MlnBackend::kWalkSat:
-      return maxsat::WalkSatSolver(wcnf, options.walksat).Solve();
-    case MlnBackend::kExactMaxSat:
-      if (oversized) {
-        return maxsat::WalkSatSolver(wcnf, options.walksat).Solve();
-      }
-      return maxsat::ExactMaxSatSolver(wcnf, options.exact).Solve();
-    case MlnBackend::kIlpCpa:
-      if (oversized) {
-        return maxsat::WalkSatSolver(wcnf, options.walksat).Solve();
-      }
-      return SolveWithCpa(wcnf, options.ilp);
-    case MlnBackend::kIlpDirect:
-      if (oversized) {
-        return maxsat::WalkSatSolver(wcnf, options.walksat).Solve();
-      }
-      return SolveWithIlpDirect(wcnf, options.ilp);
+  if (static_cast<size_t>(wcnf.num_vars()) > options.exact_var_limit) {
+    return maxsat::WalkSatSolver(wcnf).Solve();
   }
-  return maxsat::MaxSatResult{};
+  return maxsat::ExactMaxSatSolver(wcnf, options.exact).Solve();
 }
 
 }  // namespace
-
-std::string_view MlnBackendName(MlnBackend backend) {
-  switch (backend) {
-    case MlnBackend::kExactMaxSat:
-      return "exact-maxsat";
-    case MlnBackend::kWalkSat:
-      return "walksat";
-    case MlnBackend::kIlpCpa:
-      return "ilp-cpa";
-    case MlnBackend::kIlpDirect:
-      return "ilp-direct";
-  }
-  return "?";
-}
 
 MlnMapSolver::MlnMapSolver(const ground::GroundNetwork& network,
                            MlnSolverOptions options)

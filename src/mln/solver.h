@@ -2,47 +2,26 @@
 #define TECORE_MLN_SOLVER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "ground/components.h"
 #include "ground/ground_network.h"
-#include "ilp/branch_bound.h"
 #include "maxsat/exact.h"
-#include "maxsat/local_search.h"
 #include "util/status.h"
 
 namespace tecore {
 namespace mln {
 
-/// \brief Which engine decides each component's MAP state.
-enum class MlnBackend : uint8_t {
-  /// Exact branch & bound MaxSAT (default; falls back to WalkSAT on
-  /// components larger than `exact_var_limit`).
-  kExactMaxSat,
-  /// Stochastic local search everywhere (approximate, never proves
-  /// optimality).
-  kWalkSat,
-  /// ILP with cutting-plane inference — the nRockIt configuration.
-  kIlpCpa,
-  /// One-shot full ILP per component (A2 ablation baseline).
-  kIlpDirect,
-};
-
-std::string_view MlnBackendName(MlnBackend backend);
-
 /// \brief Solver configuration.
 struct MlnSolverOptions {
-  MlnBackend backend = MlnBackend::kExactMaxSat;
-  /// Components with more variables than this use WalkSAT even under the
-  /// exact backends (guard against pathological blow-ups).
+  /// Components with more variables than this run WalkSAT (with its
+  /// default options) instead of exact branch & bound — a guard against
+  /// pathological blow-ups.
   size_t exact_var_limit = 10'000;
   /// Solve each connected component separately (A3 ablation toggle; the
   /// monolithic path is exponentially slower on anything non-trivial).
   bool use_components = true;
   maxsat::ExactSolverOptions exact;
-  maxsat::WalkSatOptions walksat;
-  ilp::BranchBoundSolver::Options ilp;
 };
 
 /// \brief MAP solution over the ground network's atoms.
@@ -67,12 +46,16 @@ struct MlnSolution {
 };
 
 /// \brief MAP inference for MLNs: maximizes the weight of satisfied ground
-/// formulas subject to hard constraints, component by component.
+/// formulas subject to hard constraints, component by component, by exact
+/// branch & bound MaxSAT (maxsat::ExactMaxSatSolver). The paper's nRockIt
+/// configuration (ILP with cutting planes, mln/cutting_plane.h) decides
+/// the same objective; tests and benches call it directly as the
+/// reference.
 ///
 /// The per-component path works on a ground::ComponentPartition: it solves
 /// the components that hold no outcome yet, one after another on the
-/// calling thread (they are independent, and every backend is
-/// deterministic given its options), records each outcome and atom value
+/// calling thread (they are independent, and both solvers are
+/// deterministic given their options), records each outcome and atom value
 /// in the partition, then reduces every component's outcome in canonical
 /// component order. A partition carried across edits
 /// (core::IncrementalResolver) therefore pays solver time only for the

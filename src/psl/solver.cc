@@ -43,7 +43,7 @@ Result<PslSolution> PslSolver::Solve(ground::ComponentPartition* components) {
 
   if (!options_.use_components) {
     HlMrf mrf = BuildHlMrf(network_);
-    AdmmSolver admm(mrf, options_.admm);
+    AdmmSolver admm(mrf);
     AdmmResult admm_result = admm.Solve();
     solution.truth_values = admm_result.x;
     solution.energy = admm_result.energy;
@@ -61,7 +61,7 @@ Result<PslSolution> PslSolver::Solve(ground::ComponentPartition* components) {
     for (const uint32_t c : todo) {
       const ground::IdSpan<ground::AtomId> atoms = components->atoms(c);
       HlMrf mrf = BuildComponentHlMrf(network_, atoms, components->clauses(c));
-      AdmmSolver admm(mrf, options_.admm);
+      AdmmSolver admm(mrf);
       const AdmmResult result = admm.Solve();
       ground::ComponentOutcome outcome;
       outcome.objective = result.energy;

@@ -13,9 +13,8 @@
 namespace tecore {
 namespace psl {
 
-/// \brief nPSL solver configuration.
+/// \brief nPSL solver configuration. ADMM runs with AdmmOptions{}.
 struct PslSolverOptions {
-  AdmmOptions admm;
   /// Run ADMM per connected component instead of on the monolithic MRF.
   /// The consensus problem is separable across components, so at full
   /// convergence the optima coincide; with the tolerance-based stopping

@@ -61,8 +61,7 @@ TemporalGraph::TemporalGraph(TemporalGraph&& other) noexcept
       pred_set_epoch_(other.pred_set_epoch_),
       pred_live_counts_(std::move(other.pred_live_counts_)),
       chunks_copied_(other.chunks_copied_),
-      observer_(std::move(other.observer_)),
-      trees_(std::move(other.trees_)) {
+      observer_(std::move(other.observer_)) {
   other.num_facts_ = other.num_live_ = 0;
 }
 
@@ -77,7 +76,6 @@ TemporalGraph& TemporalGraph::operator=(TemporalGraph&& other) noexcept {
   pred_live_counts_ = std::move(other.pred_live_counts_);
   chunks_copied_ = other.chunks_copied_;
   observer_ = std::move(other.observer_);
-  trees_ = std::move(other.trees_);
   other.num_facts_ = other.num_live_ = 0;
   return *this;
 }
@@ -141,7 +139,6 @@ Result<FactId> TemporalGraph::Add(const TemporalFact& fact) {
   size_t& live = pred_live_counts_[fact.predicate];
   if (live == 0) ++pred_set_epoch_;
   ++live;
-  InvalidateTree(fact.predicate);
   if (observer_) observer_(fact, /*insert=*/true);
   return id;
 }
@@ -164,7 +161,6 @@ Status TemporalGraph::Retract(FactId id) {
   size_t& live = pred_live_counts_[f.predicate];
   --live;
   if (live == 0) ++pred_set_epoch_;
-  InvalidateTree(f.predicate);
   if (observer_) observer_(f, /*insert=*/false);
   return Status::OK();
 }
@@ -207,10 +203,6 @@ TemporalGraph TemporalGraph::Clone() const {
   out.edit_epoch_ = edit_epoch_;
   out.pred_set_epoch_ = pred_set_epoch_;
   out.pred_live_counts_ = pred_live_counts_;
-  {
-    util::MutexLock lock(tree_mutex_);
-    out.trees_ = trees_;
-  }
   return out;
 }
 
@@ -232,35 +224,7 @@ TemporalGraph TemporalGraph::DeepCopy() const {
   out.edit_epoch_ = edit_epoch_;
   out.pred_set_epoch_ = pred_set_epoch_;
   out.pred_live_counts_ = pred_live_counts_;
-  // trees_ left empty; they rebuild lazily.
   return out;
-}
-
-std::shared_ptr<const temporal::IntervalTree> TemporalGraph::EnsureTree(
-    TermId predicate) const {
-  util::MutexLock lock(tree_mutex_);
-  auto it = trees_.find(predicate);
-  if (it != trees_.end()) return it->second;
-  std::vector<FactId> ids = FactsWithPredicate(predicate);
-  if (ids.empty()) return nullptr;  // not cached: stays cheap to re-ask
-  std::vector<std::pair<temporal::Interval, uint32_t>> entries;
-  entries.reserve(ids.size());
-  for (FactId id : ids) entries.emplace_back(fact(id).interval, id);
-  auto tree = std::make_shared<temporal::IntervalTree>();
-  tree->Build(std::move(entries));
-  trees_.emplace(predicate, tree);
-  return tree;
-}
-
-void TemporalGraph::InvalidateTree(TermId predicate) {
-  util::MutexLock lock(tree_mutex_);
-  trees_.erase(predicate);
-}
-
-void TemporalGraph::WarmTemporalIndexes() const {
-  for (const auto& [pred, live] : pred_live_counts_) {
-    if (live > 0) EnsureTree(pred);
-  }
 }
 
 Result<FactId> TemporalGraph::AddQuad(std::string_view subject,
@@ -336,13 +300,6 @@ std::vector<FactId> TemporalGraph::FactsWithSubjectPredicate(
     }
   }
   return out;
-}
-
-std::vector<FactId> TemporalGraph::FactsIntersecting(
-    TermId predicate, const temporal::Interval& probe) const {
-  auto tree = EnsureTree(predicate);
-  if (tree == nullptr) return {};
-  return tree->FindIntersecting(probe);
 }
 
 std::vector<std::pair<TermId, size_t>> TemporalGraph::PredicateCounts() const {

@@ -12,9 +12,7 @@
 #include "rdf/dictionary.h"
 #include "rdf/quad.h"
 #include "temporal/interval.h"
-#include "temporal/interval_tree.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace tecore {
 namespace rdf {
@@ -72,12 +70,10 @@ struct FactChunk {
 /// on. Every mutation bumps `edit_epoch`. Resolution still produces *new*
 /// graphs (via `Filter`).
 ///
-/// Secondary indexes:
-///  * per-chunk sorted postings by subject and by predicate — probes walk
-///    the chunk table (O(#chunks · log kChunkSize) per lookup),
-///  * per-predicate interval trees, built lazily under an internal mutex
-///    (thread-safe on frozen snapshots) and shared across versions until a
-///    mutation of that predicate invalidates them.
+/// Secondary index: per-chunk sorted postings by subject and by predicate
+/// — probes walk the chunk table (O(#chunks · log kChunkSize) per lookup).
+/// The graph holds no lock: a frozen version is read-only, so concurrent
+/// readers need none.
 class TemporalGraph {
  public:
   static constexpr size_t kChunkShift = 10;
@@ -164,11 +160,10 @@ class TemporalGraph {
   TemporalGraph CompactLive() const;
 
   /// \brief O(#chunks) copy-on-write fork: the new graph shares the term
-  /// dictionary, every fact chunk and the interval-tree cache with this
-  /// one. Fact ids and term ids are interchangeable between the two — the
-  /// property the snapshot layer relies on. Later mutations of either side
-  /// copy only the chunks they touch. Must not run concurrently with
-  /// mutations of this graph.
+  /// dictionary and every fact chunk with this one. Fact ids and term ids
+  /// are interchangeable between the two — the property the snapshot
+  /// layer relies on. Later mutations of either side copy only the chunks
+  /// they touch. Must not run concurrently with mutations of this graph.
   TemporalGraph Clone() const;
 
   /// \brief Deep copy preserving term ids, fact ids and tombstones, sharing
@@ -179,12 +174,6 @@ class TemporalGraph {
   /// mutations of this graph.
   TemporalGraph DeepCopy() const;
 
-  /// \brief Eagerly build the per-predicate interval trees for every live
-  /// predicate. Optional: `FactsIntersecting` builds them lazily under an
-  /// internal mutex, so concurrent readers of a frozen graph are safe
-  /// either way.
-  void WarmTemporalIndexes() const;
-
   /// \brief Ids of live facts with the given predicate, ascending.
   std::vector<FactId> FactsWithPredicate(TermId predicate) const;
 
@@ -194,12 +183,6 @@ class TemporalGraph {
   /// \brief Ids of live facts with the given (subject, predicate) pair.
   std::vector<FactId> FactsWithSubjectPredicate(TermId subject,
                                                 TermId predicate) const;
-
-  /// \brief Ids of live facts with predicate `p` whose interval intersects
-  /// `probe` (uses the per-predicate interval tree; built lazily,
-  /// thread-safe).
-  std::vector<FactId> FactsIntersecting(TermId predicate,
-                                        const temporal::Interval& probe) const;
 
   /// \brief Distinct predicates with their live fact counts, most frequent
   /// first; ties broken by the predicate's lexical form (not term id, which
@@ -256,14 +239,6 @@ class TemporalGraph {
   void AppendRow(TermId subject, TermId predicate, TermId object,
                  const temporal::Interval& interval, double confidence);
 
-  /// Interval tree for `predicate`, building and caching it if absent.
-  /// Returns nullptr when the predicate has no live facts. Thread-safe.
-  std::shared_ptr<const temporal::IntervalTree> EnsureTree(
-      TermId predicate) const;
-
-  /// Drop the cached tree for a predicate about to change.
-  void InvalidateTree(TermId predicate);
-
   std::shared_ptr<Dictionary> dict_;
   std::vector<std::shared_ptr<FactChunk>> chunks_;
   size_t num_facts_ = 0;
@@ -274,14 +249,6 @@ class TemporalGraph {
   std::unordered_map<TermId, size_t> pred_live_counts_;
   uint64_t chunks_copied_ = 0;
   MutationObserver observer_;
-
-  /// Lazily-built per-predicate temporal indexes, shared across versions
-  /// (Clone copies the map, sharing the immutable trees). The mutex makes
-  /// lazy builds safe on frozen snapshots read concurrently.
-  mutable util::Mutex tree_mutex_;
-  mutable std::unordered_map<TermId,
-                             std::shared_ptr<const temporal::IntervalTree>>
-      trees_ TECORE_GUARDED_BY(tree_mutex_);
 };
 
 }  // namespace rdf

@@ -1,92 +1,10 @@
 #include "rdf/temporal_ops.h"
 
-#include <algorithm>
-#include <map>
-#include <tuple>
+#include <string>
 #include <unordered_map>
-
-#include "temporal/interval_set.h"
 
 namespace tecore {
 namespace rdf {
-
-namespace {
-
-using TripleKey = std::tuple<TermId, TermId, TermId>;
-
-struct TripleKeyHash {
-  size_t operator()(const TripleKey& key) const {
-    uint64_t h = 1469598103934665603ULL;
-    auto mix = [&h](uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ULL;
-    };
-    mix(std::get<0>(key));
-    mix(std::get<1>(key));
-    mix(std::get<2>(key));
-    return static_cast<size_t>(h);
-  }
-};
-
-}  // namespace
-
-TemporalGraph Coalesce(const TemporalGraph& graph, CoalesceConfidence policy,
-                       size_t* merged_away) {
-  // Bucket facts by triple.
-  std::unordered_map<TripleKey, std::vector<FactId>, TripleKeyHash> buckets;
-  for (FactId id = 0; id < graph.NumFacts(); ++id) {
-    const TemporalFact& f = graph.fact(id);
-    buckets[{f.subject, f.predicate, f.object}].push_back(id);
-  }
-  TemporalGraph out;
-  // Deterministic output order: iterate facts, emit each triple's merged
-  // spells when its first fact is reached.
-  std::unordered_map<TripleKey, bool, TripleKeyHash> done;
-  for (FactId id = 0; id < graph.NumFacts(); ++id) {
-    const TemporalFact& f = graph.fact(id);
-    TripleKey key{f.subject, f.predicate, f.object};
-    if (done[key]) continue;
-    done[key] = true;
-    const auto& bucket = buckets[key];
-    // Sort the triple's spells and sweep-merge, combining confidences.
-    std::vector<FactId> sorted = bucket;
-    std::sort(sorted.begin(), sorted.end(), [&graph](FactId a, FactId b) {
-      return graph.fact(a).interval < graph.fact(b).interval;
-    });
-    auto combine = [policy](double a, double b) {
-      return policy == CoalesceConfidence::kMax
-                 ? std::max(a, b)
-                 : 1.0 - (1.0 - a) * (1.0 - b);
-    };
-    temporal::Interval current = graph.fact(sorted[0]).interval;
-    double confidence = graph.fact(sorted[0]).confidence;
-    auto emit = [&]() {
-      TemporalFact merged(out.dict().Intern(graph.dict().Lookup(f.subject)),
-                          out.dict().Intern(graph.dict().Lookup(f.predicate)),
-                          out.dict().Intern(graph.dict().Lookup(f.object)),
-                          current, std::min(confidence, 1.0));
-      Result<FactId> added = out.Add(merged);
-      (void)added;
-    };
-    for (size_t i = 1; i < sorted.size(); ++i) {
-      const TemporalFact& next = graph.fact(sorted[i]);
-      if (next.interval.begin() <= current.end() + 1) {
-        current = temporal::Interval(
-            current.begin(), std::max(current.end(), next.interval.end()));
-        confidence = combine(confidence, next.confidence);
-      } else {
-        emit();
-        current = next.interval;
-        confidence = next.confidence;
-      }
-    }
-    emit();
-  }
-  if (merged_away != nullptr) {
-    *merged_away = graph.NumFacts() - out.NumFacts();
-  }
-  return out;
-}
 
 namespace {
 
@@ -126,23 +44,6 @@ GraphDiff DiffGraphs(const TemporalGraph& before, const TemporalGraph& after) {
     }
   }
   return diff;
-}
-
-std::vector<std::pair<TermId, int64_t>> TemporalCoverage(
-    const TemporalGraph& graph) {
-  std::map<TermId, temporal::IntervalSet> coverage;
-  for (const TemporalFact& fact : graph.facts()) {
-    coverage[fact.predicate].Add(fact.interval);
-  }
-  std::vector<std::pair<TermId, int64_t>> out;
-  out.reserve(coverage.size());
-  for (const auto& [pred, set] : coverage) {
-    out.emplace_back(pred, set.TotalDuration());
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
-  return out;
 }
 
 }  // namespace rdf

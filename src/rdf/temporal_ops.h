@@ -8,30 +8,6 @@
 namespace tecore {
 namespace rdf {
 
-/// \brief Temporal-database maintenance operations over UTKGs.
-///
-/// These are the classic temporal-relational operations adapted to
-/// uncertain temporal quads; OIE pipelines routinely need them before and
-/// after repair (e.g. merging redundant extractions of the same spell).
-
-/// \brief Coalescing policy for the confidence of merged facts.
-enum class CoalesceConfidence {
-  /// max(c1, c2): the strongest extraction wins (default).
-  kMax,
-  /// Noisy-or 1 - (1-c1)(1-c2): independent supporting extractions.
-  kNoisyOr,
-};
-
-/// \brief Temporal coalescing: merge facts with identical (s, p, o) whose
-/// validity intervals overlap or are adjacent into maximal intervals.
-///
-/// The result is value-equivalent (covers exactly the same time points per
-/// triple) but canonical; returns the coalesced graph and reports how many
-/// input facts were merged away via `merged_away` (optional).
-TemporalGraph Coalesce(const TemporalGraph& graph,
-                       CoalesceConfidence policy = CoalesceConfidence::kMax,
-                       size_t* merged_away = nullptr);
-
 /// \brief Difference between two UTKGs by quad identity (s,p,o,interval).
 struct GraphDiff {
   /// Facts present in `before` but not `after` (e.g. removed by repair).
@@ -45,11 +21,6 @@ struct GraphDiff {
 /// \brief Compute the diff (both sides rendered against `after`'s
 /// dictionary in `added`/`rescored.second`, `before`'s in the others).
 GraphDiff DiffGraphs(const TemporalGraph& before, const TemporalGraph& after);
-
-/// \brief Total time points covered per predicate (coverage profile);
-/// pairs of (predicate id, covered duration) sorted by duration.
-std::vector<std::pair<TermId, int64_t>> TemporalCoverage(
-    const TemporalGraph& graph);
 
 }  // namespace rdf
 }  // namespace tecore

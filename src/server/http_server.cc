@@ -7,7 +7,6 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -151,6 +150,9 @@ HttpServer::HttpServer(Options options, HttpHandler handler)
 HttpServer::~HttpServer() { Stop(); }
 
 Result<int> HttpServer::Start() {
+  if (options_.pool == nullptr) {
+    return Status::InvalidArgument("HttpServer needs a connection pool");
+  }
   util::MutexLock lock(lifecycle_mutex_);
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
@@ -189,28 +191,12 @@ Result<int> HttpServer::Start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
 
-  if (options_.pool != nullptr) {
-    // Shared pool (one worker budget across every tenant of a registry).
-    pool_ = options_.pool;
-    owns_pool_ = false;
-  } else {
-    // At least 6 executors: ThreadPool counts the constructing thread as
-    // an executor but neither it nor the acceptor drains the queue, and a
-    // streaming subscriber occupies its worker for the connection's
-    // lifetime — with fewer real workers, one subscriber starves the very
-    // requests that would publish the events it is waiting for (seen on
-    // 1-core CI, where hardware concurrency alone yields 1 worker).
-    const int threads =
-        std::max(6, util::ResolveThreadCount(options_.num_threads));
-    pool_ = std::make_shared<util::ThreadPool>(threads);
-    owns_pool_ = true;
-  }
   running_.store(true, std::memory_order_release);
   // The acceptor gets copies of the fd and pool handle: it must never
   // read lifecycle-guarded fields, which Stop() rewrites while the loop
   // is still blocked in accept().
   acceptor_ = std::thread(
-      [this, fd = listen_fd_, pool = pool_] { AcceptLoop(fd, pool); });
+      [this, fd = listen_fd_, pool = options_.pool] { AcceptLoop(fd, pool); });
   return port_;
 }
 
@@ -243,8 +229,6 @@ void HttpServer::Stop() {
     util::MutexLock inflight_lock(inflight_mutex_);
     while (inflight_ != 0) inflight_cv_.Wait(inflight_mutex_);
   }
-  if (owns_pool_) pool_.reset();  // shared pools belong to their owner
-  pool_ = nullptr;
 }
 
 void HttpServer::AcceptLoop(int listen_fd,

@@ -79,12 +79,12 @@ struct HttpResponse {
 
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
-/// \brief Minimal embedded HTTP/1.1 server: one acceptor thread plus a
-/// util::ThreadPool of connection workers (its own, or a shared pool
-/// handed in via Options — the multi-tenant registry shares one pool
-/// across every KB). Supports keep-alive, Content-Length and chunked
-/// request bodies, long-lived streaming responses (SSE) and clean
-/// shutdown; TLS is an explicit non-goal of this layer (ROADMAP).
+/// \brief Minimal embedded HTTP/1.1 server: one acceptor thread that
+/// hands connections to a util::ThreadPool given in Options (the
+/// multi-tenant registry shares one pool across every KB). Supports
+/// keep-alive, Content-Length and chunked request bodies, long-lived
+/// streaming responses (SSE) and clean shutdown; TLS is an explicit
+/// non-goal of this layer (ROADMAP).
 /// Loopback-oriented: bind it to 127.0.0.1 unless you know what you are
 /// doing.
 class HttpServer {
@@ -92,10 +92,6 @@ class HttpServer {
   struct Options {
     std::string host = "127.0.0.1";
     int port = 0;          ///< 0 = pick an ephemeral port (see port()).
-    int num_threads = 0;   ///< Connection workers; 0 = auto, min 6 (a
-                           ///< streaming subscriber parks on a worker, so
-                           ///< the floor keeps one from starving writes).
-                           ///< Ignored when `pool` is set.
     int backlog = 64;
     /// Hard cap on one request body (Content-Length or decoded chunked).
     /// Oversized requests get 413 with the uniform error envelope.
@@ -108,9 +104,9 @@ class HttpServer {
     /// timeout, bounds how long a stalled streaming client can occupy a
     /// worker, and bounds worst-case Stop() latency.
     int recv_timeout_ms = 5000;
-    /// Externally-owned worker pool (e.g. api::EngineRegistry::pool()).
-    /// The server Submit()s connections to it but never destroys it; the
-    /// pool must outlive the server. Null = the server creates its own.
+    /// Externally-owned worker pool (e.g. api::EngineRegistry::pool());
+    /// required. The server Submit()s connections to it but never
+    /// destroys it; the pool must outlive the server.
     std::shared_ptr<util::ThreadPool> pool;
   };
 
@@ -121,7 +117,8 @@ class HttpServer {
   HttpServer& operator=(const HttpServer&) = delete;
 
   /// \brief Bind, listen and start serving. Returns the bound port on
-  /// success (equal to Options::port unless that was 0).
+  /// success (equal to Options::port unless that was 0), and
+  /// InvalidArgument when Options::pool is null.
   Result<int> Start() TECORE_EXCLUDES(lifecycle_mutex_);
 
   /// \brief The bound port (valid after a successful Start()).
@@ -187,9 +184,6 @@ class HttpServer {
   int listen_fd_ TECORE_GUARDED_BY(lifecycle_mutex_) = -1;
   int port_ TECORE_GUARDED_BY(lifecycle_mutex_) = 0;
   std::thread acceptor_ TECORE_GUARDED_BY(lifecycle_mutex_);
-  std::shared_ptr<util::ThreadPool> pool_
-      TECORE_GUARDED_BY(lifecycle_mutex_);
-  bool owns_pool_ TECORE_GUARDED_BY(lifecycle_mutex_) = true;
 
   /// Connections this server accepted that have not finished serving
   /// (queued or running). Stop() drains on this count — not on the pool,

@@ -36,14 +36,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(mutex_);
     queue_.push(std::move(task));
-    ++in_flight_;
   }
   work_available_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(mutex_);
-  while (in_flight_ != 0) all_done_.Wait(mutex_);
 }
 
 void ThreadPool::WorkerLoop() {
@@ -57,10 +51,6 @@ void ThreadPool::WorkerLoop() {
       queue_.pop();
     }
     task();
-    {
-      MutexLock lock(mutex_);
-      if (--in_flight_ == 0) all_done_.NotifyAll();
-    }
   }
 }
 

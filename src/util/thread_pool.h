@@ -37,11 +37,9 @@ class ThreadPool {
   /// \brief Total executors (workers + the calling thread).
   int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-  /// \brief Enqueue one task for the worker threads.
+  /// \brief Enqueue one task for the worker threads. The destructor runs
+  /// every queued task before it joins the workers.
   void Submit(std::function<void()> task);
-
-  /// \brief Block until every submitted task has finished.
-  void Wait();
 
  private:
   void WorkerLoop() TECORE_EXCLUDES(mutex_);
@@ -49,9 +47,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   Mutex mutex_;
   CondVar work_available_;
-  CondVar all_done_;
   std::queue<std::function<void()>> queue_ TECORE_GUARDED_BY(mutex_);
-  size_t in_flight_ TECORE_GUARDED_BY(mutex_) = 0;  // queued + running tasks
   bool shutting_down_ TECORE_GUARDED_BY(mutex_) = false;
 };
 

@@ -159,6 +159,28 @@ TEST(ApiEngine, FailedEditBatchPublishesNothing) {
   EXPECT_EQ(engine.snapshot()->graph->NumLiveFacts(), 5u);
 }
 
+TEST(ApiEngine, RefusedEditsGroundingLimitDoesNotStick) {
+  api::Engine engine;
+  ASSERT_TRUE(engine.LoadGraphText(kFig1Utkg).ok());
+  ASSERT_TRUE(engine.AddRulesText(kDisjointConstraint).ok());
+  core::ResolveOptions tight;
+  tight.grounding.max_atoms = 6;  // the network has 5 atoms
+  ASSERT_TRUE(engine.Solve(tight).ok());
+  auto refused = engine.ApplyEditScript(
+      "+ CR coach Bari [2006,2008] 0.5 .\n"
+      "+ CR coach Roma [2009,2010] 0.5 .\n",
+      tight);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kOutOfRange);
+  // The next edit under the default limits must not run on the resolver
+  // grounded under the tight one. (The refused facts themselves are still
+  // applied to the graph and published with this edit, so the fact count
+  // is not asserted here.)
+  auto next = engine.ApplyEditScript("+ CR coach Genoa [2011,2012] 0.5 .",
+                                     core::ResolveOptions());
+  EXPECT_TRUE(next.ok()) << next.status().ToString();
+}
+
 TEST(ApiEngine, ConflictReportIsCachedPerSnapshot) {
   api::Engine engine;
   ASSERT_TRUE(engine.LoadGraphText(kFig1Utkg).ok());

@@ -114,7 +114,7 @@ class Generation {
                 created.status().code() == StatusCode::kAlreadyExists);
     HttpServer::Options http;
     http.port = 0;
-    http.num_threads = 6;
+    http.pool = registry_->pool();
     http.max_body_bytes = 4096;
     server_ =
         std::make_unique<HttpServer>(http, MakeApiHandler(registry_.get()));

@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "datagen/generators.h"
 #include "ground/components.h"
 #include "ground/grounder.h"
-#include "kb/weighting.h"
 #include "rules/library.h"
 #include "rules/parser.h"
 
@@ -177,16 +174,12 @@ TEST(Grounder, DuplicateQuadEvidenceMergesSupport) {
   rdf::TemporalGraph graph;
   ASSERT_TRUE(graph.AddQuad("a", "pp", "b", temporal::Interval(1, 2), 0.8).ok());
   ASSERT_TRUE(graph.AddQuad("a", "pp", "b", temporal::Interval(1, 2), 0.7).ok());
-  GroundingOptions log_odds;
-  log_odds.fact_weighting = kb::FactWeighting::kLogOdds;
-  auto result =
-      GroundExample("quad(x, nosuch, y, t) -> false .", &graph, log_odds);
+  auto result = GroundExample("quad(x, nosuch, y, t) -> false .", &graph);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->network.NumAtoms(), 1u);
   const GroundAtom& atom = result->network.atom(0);
-  // log-odds add up: logit(0.8) + logit(0.7).
-  EXPECT_NEAR(atom.prior_weight, std::log(0.8 / 0.2) + std::log(0.7 / 0.3),
-              1e-9);
+  // The confidences add up.
+  EXPECT_NEAR(atom.prior_weight, 0.8 + 0.7, 1e-9);
 }
 
 TEST(Grounder, MaxAtomsGuardTrips) {

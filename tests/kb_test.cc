@@ -25,15 +25,6 @@ TEST(Weighting, SigmoidInvertsLogOdds) {
   }
 }
 
-TEST(Weighting, SchemesDiffer) {
-  EXPECT_DOUBLE_EQ(FactPriorWeight(0.7, FactWeighting::kConfidence), 0.7);
-  EXPECT_NEAR(FactPriorWeight(0.7, FactWeighting::kLogOdds),
-              std::log(0.7 / 0.3), 1e-9);
-  // Confidence scheme is always positive; log-odds goes negative < 0.5.
-  EXPECT_GT(FactPriorWeight(0.3, FactWeighting::kConfidence), 0.0);
-  EXPECT_LT(FactPriorWeight(0.3, FactWeighting::kLogOdds), 0.0);
-}
-
 TEST(Statistics, RunningExampleNumbers) {
   rdf::TemporalGraph graph = datagen::RunningExampleGraph(false);
   GraphStatistics stats = ComputeStatistics(graph);

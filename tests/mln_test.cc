@@ -4,6 +4,7 @@
 
 #include "datagen/generators.h"
 #include "ground/grounder.h"
+#include "maxsat/local_search.h"
 #include "mln/cutting_plane.h"
 #include "mln/solver.h"
 #include "mln/translation.h"
@@ -152,25 +153,23 @@ TEST(CuttingPlane, ActivatesConflictClauses) {
 }
 
 TEST(MlnMapSolver, AllBackendsAgreeOnRunningExample) {
+  // The exact per-component MaxSAT path against the paper's nRockIt
+  // configuration (ILP + cutting planes) and a one-shot ILP, both on the
+  // whole network.
   ground::GroundingResult grounding = GroundRunningExample();
-  const MlnBackend backends[] = {MlnBackend::kExactMaxSat,
-                                 MlnBackend::kIlpCpa,
-                                 MlnBackend::kIlpDirect};
-  double reference = -1;
-  for (MlnBackend backend : backends) {
-    MlnSolverOptions options;
-    options.backend = backend;
-    MlnMapSolver solver(grounding.network, options);
-    auto solution = solver.Solve();
-    ASSERT_TRUE(solution.ok());
-    EXPECT_TRUE(solution->feasible) << MlnBackendName(backend);
-    EXPECT_TRUE(solution->optimal) << MlnBackendName(backend);
-    if (reference < 0) {
-      reference = solution->objective;
-    } else {
-      EXPECT_NEAR(solution->objective, reference, 1e-6)
-          << MlnBackendName(backend);
-    }
+  auto solution = MlnMapSolver(grounding.network).Solve();
+  ASSERT_TRUE(solution.ok());
+  EXPECT_TRUE(solution->feasible);
+  EXPECT_TRUE(solution->optimal);
+  const maxsat::Wcnf wcnf = BuildWcnf(grounding.network);
+  const maxsat::MaxSatResult cpa =
+      SolveWithCpa(wcnf, ilp::BranchBoundSolver::Options());
+  const maxsat::MaxSatResult direct =
+      SolveWithIlpDirect(wcnf, ilp::BranchBoundSolver::Options());
+  for (const maxsat::MaxSatResult* reference : {&cpa, &direct}) {
+    EXPECT_TRUE(reference->feasible);
+    EXPECT_TRUE(reference->optimal);
+    EXPECT_NEAR(reference->satisfied_weight, solution->objective, 1e-6);
   }
 }
 
@@ -190,13 +189,13 @@ TEST(MlnMapSolver, MonolithicMatchesComponentwise) {
 
 TEST(MlnMapSolver, WalkSatBackendIsFeasibleOnRunningExample) {
   ground::GroundingResult grounding = GroundRunningExample();
-  MlnSolverOptions options;
-  options.backend = MlnBackend::kWalkSat;
-  options.walksat.max_flips = 50000;
-  auto solution = MlnMapSolver(grounding.network, options).Solve();
-  ASSERT_TRUE(solution.ok());
-  EXPECT_TRUE(solution->feasible);
-  EXPECT_FALSE(solution->optimal);  // LS never proves optimality
+  const maxsat::Wcnf wcnf = BuildWcnf(grounding.network);
+  maxsat::WalkSatOptions options;
+  options.max_flips = 50000;
+  const maxsat::MaxSatResult result =
+      maxsat::WalkSatSolver(wcnf, options).Solve();
+  EXPECT_TRUE(result.feasible);
+  EXPECT_FALSE(result.optimal);  // LS never proves optimality
 }
 
 }  // namespace

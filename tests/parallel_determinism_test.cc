@@ -28,10 +28,12 @@ ground::GroundingResult GroundFootball(size_t players) {
 }
 
 TEST(ThreadPool, SubmitAndWait) {
-  util::ThreadPool pool(3);
   std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) pool.Submit([&] { ++done; });
-  pool.Wait();
+  {
+    // The destructor drains the queue before it joins the workers.
+    util::ThreadPool pool(3);
+    for (int i = 0; i < 32; ++i) pool.Submit([&] { ++done; });
+  }
   EXPECT_EQ(done.load(), 32);
 }
 

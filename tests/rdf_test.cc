@@ -81,28 +81,6 @@ TEST(TemporalGraph, RejectsBadConfidence) {
       g.AddQuad("a", "p", "b", temporal::Interval(0, 1), 1.0).ok());
 }
 
-TEST(TemporalGraph, TemporalIndexFindsOverlaps) {
-  TemporalGraph g;
-  ASSERT_TRUE(g.AddQuad("CR", "coach", "Chelsea",
-                        temporal::Interval(2000, 2004), 0.9)
-                  .ok());
-  ASSERT_TRUE(g.AddQuad("CR", "coach", "Leicester",
-                        temporal::Interval(2015, 2017), 0.7)
-                  .ok());
-  ASSERT_TRUE(g.AddQuad("CR", "coach", "Napoli",
-                        temporal::Interval(2001, 2003), 0.6)
-                  .ok());
-  TermId coach = *g.dict().FindIri("coach");
-  auto hits = g.FactsIntersecting(coach, temporal::Interval(2001, 2002));
-  EXPECT_EQ(hits.size(), 2u);
-  // Index updates when facts are added afterwards.
-  ASSERT_TRUE(g.AddQuad("CR", "coach", "Valencia",
-                        temporal::Interval(1997, 1999), 0.8)
-                  .ok());
-  hits = g.FactsIntersecting(coach, temporal::Interval(1998, 2002));
-  EXPECT_EQ(hits.size(), 3u);
-}
-
 TEST(TemporalGraph, PredicateCountsSorted) {
   TemporalGraph g;
   for (int i = 0; i < 3; ++i) {
@@ -332,18 +310,6 @@ TEST(TemporalGraph, ClonePreservesIdsAndTombstones) {
   ASSERT_TRUE(copy.AddQuad("CR", "coach", "Leicester", {2015, 2017}, 0.7).ok());
   EXPECT_EQ(copy.NumFacts(), g.NumFacts() + 1);
   EXPECT_EQ(g.NumFacts(), 3u);
-}
-
-TEST(TemporalGraph, WarmedTemporalIndexAnswersWithoutMutation) {
-  TemporalGraph g;
-  ASSERT_TRUE(g.AddQuad("CR", "coach", "Chelsea", {2000, 2004}, 0.9).ok());
-  ASSERT_TRUE(g.AddQuad("CR", "coach", "Napoli", {2001, 2003}, 0.6).ok());
-  g.WarmTemporalIndexes();
-  TermId coach = *g.dict().FindIri("coach");
-  EXPECT_EQ(g.FactsIntersecting(coach, {2001, 2001}).size(), 2u);
-  // Unknown predicate: empty answer, no lazy index build.
-  TermId ghost = g.dict().InternIri("neverUsedAsPredicate");
-  EXPECT_TRUE(g.FactsIntersecting(ghost, {0, 10}).empty());
 }
 
 TEST(RdfIo, FileRoundTrip) {

@@ -148,7 +148,7 @@ class ServerTest : public ::testing::Test {
     engine_ = *created;
     HttpServer::Options options;
     options.port = 0;  // ephemeral
-    options.num_threads = 6;
+    options.pool = registry_.pool();
     server_ =
         std::make_unique<HttpServer>(options, MakeApiHandler(&registry_));
     auto port = server_->Start();
@@ -428,7 +428,7 @@ TEST_F(ServerTest, AuthTokenGate) {
   router.auth_token = "s3cret";
   HttpServer::Options options;
   options.port = 0;
-  options.num_threads = 2;
+  options.pool = registry_.pool();
   HttpServer secured(options, MakeApiHandler(&registry_, router));
   auto port = secured.Start();
   ASSERT_TRUE(port.ok());
@@ -971,6 +971,14 @@ TEST_F(ServerTest, StopOnSharedPoolIgnoresOtherServersStreams) {
   b.Stop();  // its stream observes stopping() within a poll tick
 }
 
+TEST(HttpServerPool, StartWithoutPoolIsRefused) {
+  HttpServer server(HttpServer::Options(),
+                    [](const HttpRequest&) { return HttpResponse(); });
+  auto port = server.Start();
+  ASSERT_FALSE(port.ok());
+  EXPECT_EQ(port.status().code(), StatusCode::kInvalidArgument);
+}
+
 // ---------------------------------------------------------- observability
 
 TEST_F(ServerTest, MetricsEndpointExposesAssertedValues) {
@@ -1245,7 +1253,7 @@ TEST_F(ServerTest, MetricsCountWalActivityForDurableKbs) {
   api::EngineRegistry durable(reg_options);
   HttpServer::Options options;
   options.port = 0;
-  options.num_threads = 2;
+  options.pool = durable.pool();
   HttpServer server(options, MakeApiHandler(&durable));
   auto port = server.Start();
   ASSERT_TRUE(port.ok());
@@ -1294,7 +1302,7 @@ TEST_F(ServerTest, MetricsAreAuthExempt) {
   router.auth_token = "s3cret";
   HttpServer::Options options;
   options.port = 0;
-  options.num_threads = 2;
+  options.pool = registry_.pool();
   HttpServer secured(options, MakeApiHandler(&registry_, router));
   auto port = secured.Start();
   ASSERT_TRUE(port.ok());
@@ -1310,7 +1318,7 @@ TEST_F(ServerTest, PerKbTokensScopeAccessToTheirKb) {
   router.kb_tokens = {{"alpha", "alpha-tok"}, {"beta", "beta-tok"}};
   HttpServer::Options options;
   options.port = 0;
-  options.num_threads = 2;
+  options.pool = registry_.pool();
   HttpServer secured(options, MakeApiHandler(&registry_, router));
   auto port = secured.Start();
   ASSERT_TRUE(port.ok());
